@@ -112,10 +112,13 @@ class SiteBasis:
 
 
 def _check_hermitian(matrix, what):
+    """Raise unless `matrix` (or each matrix of a stack) is finite and Hermitian."""
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{what} has non-finite entries")
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITICITY_RTOL * scale:
+    scale = np.max(np.abs(matrix), axis=(-2, -1), initial=0.0)
+    skew = np.max(np.abs(matrix - np.swapaxes(matrix, -2, -1).conj()), axis=(-2, -1),
+                  initial=0.0)
+    if np.any(skew > _HERMITICITY_RTOL * scale):
         raise ValueError(f"{what} is not Hermitian")
 
 
@@ -275,6 +278,20 @@ def build_hamiltonian(basis, positions, omega_mu, c3, coupling_graph="all_pairs"
             + build_dd_hamiltonian(basis, positions, c3, coupling_graph, weights))
 
 
+def _pi_sector_drive(n_sites):
+    """Drive term of the pi-sector Hamiltonian per unit Omega_mu: (1/2) sum_i X_i.
+
+    Dense 2^n x 2^n in the basis of build_pi_sector_hamiltonian, whose
+    matrix is Omega_mu times this plus the (Omega-independent) exchange.
+    """
+    dim = 2 ** n_sites
+    matrix = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    for i in range(n_sites):
+        matrix[idx ^ (1 << (n_sites - 1 - i)), idx] = 0.5
+    return matrix
+
+
 def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pairs",
                                 weights=ChannelWeights()):
     """Drive plus exchange restricted to the {s, p0} product subspace.
@@ -301,11 +318,8 @@ def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pai
     if dim > MAX_DIMENSION:
         raise ValueError(f"dimension {dim} exceeds the dense-solver cap {MAX_DIMENSION}")
 
-    matrix = np.zeros((dim, dim))
+    matrix = omega_mu * _pi_sector_drive(n_sites)
     idx = np.arange(dim)
-    for i in range(n_sites):
-        flipped = idx ^ (1 << (n_sites - 1 - i))
-        matrix[flipped, idx] += omega_mu / 2.0
     for i, j in _coupled_pairs(n_sites, coupling_graph):
         r_ij = float(np.linalg.norm(positions[i] - positions[j]))
         if r_ij <= 0.0:
@@ -436,16 +450,30 @@ def eigenspectrum(h, return_vectors=False):
     Accepts a SiteHamiltonian, a JcChain, or a raw Hermitian matrix.  When
     vectors are requested, each pair satisfies ||H v - w v|| <= 1e-9 ||H||.
     """
-    matrix = _as_matrix(h)
-    _check_hermitian(matrix, "eigenspectrum input")
-    w, v = np.linalg.eigh(matrix)
-    if not return_vectors:
-        return w
-    h_norm = float(np.max(np.abs(w))) if w.size else 0.0
-    residuals = np.linalg.norm(matrix @ v - v * w, axis=0)
-    if np.any(residuals > 1e-9 * h_norm) and h_norm > 0.0:
-        raise RuntimeError(
-            f"eigenpair residual {residuals.max():.3e} exceeds 1e-9 * ||H|| = {1e-9 * h_norm:.3e}")
+    w, v = _checked_eigh(_as_matrix(h), check_vectors=return_vectors)
+    return (w, v) if return_vectors else w
+
+
+def _checked_eigh(matrices, check_vectors=True):
+    """np.linalg.eigh of one Hermitian matrix or a stack (..., d, d), checked.
+
+    Raises ValueError unless every matrix is finite and Hermitian and, with
+    check_vectors, RuntimeError unless every eigenpair satisfies
+    ||H v - w v|| <= 1e-9 ||H|| (||H|| = largest |eigenvalue| of that matrix).
+    """
+    _check_hermitian(matrices, "eigenspectrum input")
+    w, v = np.linalg.eigh(matrices)
+    if check_vectors:
+        h_norm = np.max(np.abs(w), axis=-1, initial=0.0)
+        residuals = np.max(np.linalg.norm(matrices @ v - v * w[..., None, :], axis=-2),
+                           axis=-1, initial=0.0)
+        bad = (residuals > 1e-9 * h_norm) & (h_norm > 0.0)
+        if np.any(bad):
+            worst = np.unravel_index(np.argmax(np.where(bad, residuals / h_norm, 0.0)),
+                                     bad.shape)
+            raise RuntimeError(
+                f"eigenpair residual {residuals[worst]:.3e} exceeds "
+                f"1e-9 * ||H|| = {1e-9 * h_norm[worst]:.3e}")
     return w, v
 
 

@@ -14,13 +14,19 @@ bit-identical for a fixed master seed regardless of batching or thread count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ExperimentConfig, PairCoefficients, optical_blockade_radius
-from .interactions import build_pi_sector_hamiltonian, time_evolve
+from .interactions import (
+    _checked_eigh,
+    _pi_sector_drive,
+    build_pi_sector_hamiltonian,
+    time_evolve,
+)
 from .rng import philox_stream
 
 #: Probability that an input photon produces a Rydberg excitation candidate
@@ -147,6 +153,42 @@ def _register_return_probability(positions, omega_mu, c3, pulse_duration):
     return min(1.0, float(np.abs(psi[0]) ** 2))
 
 
+def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
+    """All-s return probabilities of many registers at many drives.
+
+    Returns p[i, k] = _register_return_probability(registers[k], omegas[i],
+    c3, pulse_duration), up to rounding.  The Omega-independent exchange V of
+    each register is built once and the unit drive D once per register size;
+    at each drive the registers of one size are stacked as H = Omega*D + V,
+    checked and diagonalized together, and p = |sum_k v_0k^2 exp(-2 pi i w_k t)|^2.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    probabilities = np.ones((omegas.size, len(registers)))
+    if pulse_duration == 0.0:
+        return probabilities
+    sizes = np.array([len(positions) for positions in registers], dtype=int)
+    for n in np.unique(sizes[sizes > 0]):
+        members = np.flatnonzero(sizes == n)
+        exchange = np.stack([build_pi_sector_hamiltonian(registers[k], 0.0, c3)
+                             for k in members])
+        drive = _pi_sector_drive(int(n))
+        for i, omega in enumerate(omegas):
+            if omega == 0.0:
+                continue
+            w, v = _checked_eigh(omega * drive + exchange)
+            amplitude = np.sum(v[:, 0, :] ** 2 * np.exp(-2j * np.pi * w * pulse_duration),
+                               axis=-1)
+            probabilities[i, members] = np.minimum(1.0, np.abs(amplitude) ** 2)
+    return probabilities
+
+
+def _worker_count(threads, cores, jobs):
+    """Worker processes to start for `jobs` jobs: min(threads, cores, jobs), at least 1."""
+    if threads is None:
+        return 1
+    return max(1, min(int(threads), int(cores or 1), int(jobs)))
+
+
 def _written_register(config, pair_coeffs, seed, trial):
     n_candidates = int(philox_stream(seed, _STAGE_CANDIDATES, trial)
                        .poisson(config.mean_input_photons * WRITE_EFFICIENCY))
@@ -201,14 +243,15 @@ def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threa
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     trials = int(trials)
-    if threads is None or threads <= 1 or trials < 64:
+    workers = _worker_count(threads, os.cpu_count(), trials)
+    if workers <= 1 or trials < 64:
         counts = _shot_chunk((config, pair_coeffs, omega_mu, pulse_duration, seed,
                               0, trials))
         return np.asarray(counts, dtype=np.int64)
-    edges = np.linspace(0, trials, int(threads) + 1, dtype=int)
+    edges = np.linspace(0, trials, workers + 1, dtype=int)
     jobs = [(config, pair_coeffs, omega_mu, pulse_duration, seed, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=int(threads)) as pool:
+            for a, b in zip(edges[:-1], edges[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_shot_chunk, jobs))
     return np.asarray([c for part in parts for c in part], dtype=np.int64)
 
@@ -521,6 +564,8 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
     ensemble of `geometry_samples` written registers, and the per-trial
     detection statistics are then sampled with trials cycling through that
     ensemble — the shot noise of the full pipeline at a fraction of the cost.
+    With threads > 1, up to min(threads, cores, drives) worker processes each
+    take a contiguous block of drives; results do not depend on the split.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size < 1:
@@ -536,13 +581,16 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
                                   n_polaritons=n_polaritons)
     n_per_geometry = np.array([g.n_polaritons for g in geometries], dtype=np.int64)
 
-    jobs = [(geometries, pair_coeffs, float(omega), pulse_duration)
-            for omega in omegas]
-    if threads is None or threads <= 1 or omegas.size < 2:
-        overlaps = [_scan_point_overlaps(job) for job in jobs]
+    registers = [g.polariton_positions for g in geometries]
+    workers = _worker_count(threads, os.cpu_count(), omegas.size)
+    if workers <= 1:
+        overlaps = _scan_return_probabilities(registers, omegas, pair_coeffs.c3,
+                                              pulse_duration)
     else:
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            overlaps = list(pool.map(_scan_point_overlaps, jobs))
+        jobs = [(registers, block, pair_coeffs.c3, pulse_duration)
+                for block in np.array_split(omegas, workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            overlaps = np.concatenate(list(pool.map(_scan_block, jobs)))
 
     trials = int(trials)
     assignment = np.arange(trials) % len(geometries)
@@ -561,9 +609,5 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
                           pulse_duration=float(pulse_duration), trials=trials)
 
 
-def _scan_point_overlaps(args):
-    geometries, pair_coeffs, omega, pulse_duration = args
-    return np.array([
-        _register_return_probability(g.polariton_positions, omega,
-                                     pair_coeffs.c3, pulse_duration)
-        for g in geometries])
+def _scan_block(args):
+    return _scan_return_probabilities(*args)

@@ -6,7 +6,7 @@ behaviour (a faster kernel, a refactor) shows any drift:
 
   * written registers of n = 1..8 polaritons (positions exact) and their
     all-s return probabilities over a grid of drives and pulse lengths,
-    to 1e-12,
+    to 1e-12, from the single-register and from the batched scan kernel,
   * ``simulate_rabi_scan`` mean counts of one conditioned and one
     unconditioned scan, exactly,
   * ``run_shots`` counts for one seed, exactly.
@@ -27,6 +27,7 @@ from rydpol.config import ExperimentConfig, RB60_PAIR
 from rydpol.montecarlo import (
     _register_return_probability,
     _scan_geometries,
+    _scan_return_probabilities,
     run_shots,
     simulate_rabi_scan,
 )
@@ -117,6 +118,14 @@ def test_register_return_probabilities(golden, n):
         got = np.array(_probabilities(np.array(register["positions"])))
         np.testing.assert_allclose(got, register["probabilities"], rtol=0,
                                    atol=PROBABILITY_TOLERANCE)
+
+
+@pytest.mark.parametrize("t", PULSES)
+def test_scan_kernel_return_probabilities(golden, t):
+    registers = [np.array(r["positions"]) for r in golden["registers"]]
+    got = _scan_return_probabilities(registers, DRIVES, RB60_PAIR.c3, t)
+    stored = np.array([r["probabilities"][PULSES.index(t)] for r in golden["registers"]])
+    np.testing.assert_allclose(got.T, stored, rtol=0, atol=PROBABILITY_TOLERANCE)
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))

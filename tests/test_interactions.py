@@ -25,6 +25,8 @@ from rydpol.interactions import (
     MU_Z,
     ChannelWeights,
     SiteBasis,
+    _checked_eigh,
+    _pi_sector_drive,
     build_dd_hamiltonian,
     build_drive_hamiltonian,
     build_hamiltonian,
@@ -326,6 +328,24 @@ class TestEigenspectrum:
         assert w.shape == (16,)
         assert np.allclose(w, np.sort(np.linalg.eigvalsh(h.matrix)))
 
+    def test_stack_solved_matrix_by_matrix(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(5, 6, 6))
+        stack = a + a.transpose(0, 2, 1)
+        w, v = _checked_eigh(stack)
+        for k in range(5):
+            assert np.array_equal(w[k], eigenspectrum(stack[k]))
+            assert np.array_equal(v[k], eigenspectrum(stack[k], return_vectors=True)[1])
+
+    def test_stack_rejects_one_bad_matrix(self):
+        stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        stack[1, 0, 2] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            _checked_eigh(stack)
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _checked_eigh(stack)
+
 
 class TestJcChain:
     def test_dimensions(self):
@@ -525,6 +545,16 @@ class TestPiSectorReduction:
         reduced = time_evolve(build_pi_sector_hamiltonian(pos, omega, C3),
                               psi0_red, t)
         assert abs(full[basis.all_s_index] - reduced[0]) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_drive_plus_exchange_split_is_exact(self, n):
+        # the batched scan kernel stacks Omega * D + V for every drive
+        rng = np.random.default_rng(60 + n)
+        pos = np.column_stack([rng.normal(0, 2.8, n), rng.normal(0, 2.8, n),
+                               np.arange(n) * 9.0])
+        for omega in (0.0, 0.37, 13.5, 200.0):
+            split = omega * _pi_sector_drive(n) + build_pi_sector_hamiltonian(pos, 0.0, C3)
+            assert np.array_equal(split, build_pi_sector_hamiltonian(pos, omega, C3))
 
     def test_dimension_cap(self):
         pos = np.column_stack([np.zeros(13), np.zeros(13), np.arange(13) * 8.0])

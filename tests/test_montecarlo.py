@@ -23,8 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydpol.config import ExperimentConfig, RB60_PAIR, optical_blockade_radius
+import rydpol.montecarlo as montecarlo
 from rydpol.montecarlo import (
     BASE_RETRIEVAL_EFFICIENCY,
+    _register_return_probability,
+    _scan_return_probabilities,
+    _worker_count,
     _written_register,
     ClickRecord,
     CloudSample,
@@ -458,3 +462,114 @@ class TestRabiScan:
         with pytest.raises(ValueError):
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([1.0]), 0.3, trials=1,
                                seed=1)
+
+
+# --------------------------------------------------------------------------
+# Batched scan kernel
+
+register_specs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2 ** 31 - 1)),
+                          min_size=1, max_size=6)
+drives = st.lists(st.one_of(st.just(0.0), st.floats(0.1, 40.0)), min_size=1, max_size=4)
+pulses = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+def written_registers(specs):
+    """Blockaded registers from (candidate count, seed) pairs; count 0 is empty."""
+    return [write_polaritons(sample_positions(CFG, count, seed), R_O).polariton_positions
+            if count else np.empty((0, 3)) for count, seed in specs]
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the request, runs in-process."""
+
+    requests = []
+
+    def __init__(self, max_workers):
+        self.requests.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, jobs):
+        jobs = list(jobs)
+        self.requests[-1]["jobs"] = jobs
+        return [func(job) for job in jobs]
+
+
+class TestScanKernel:
+    @given(register_specs, drives, pulses)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_single_register_kernel(self, specs, omegas, t):
+        registers = written_registers(specs)
+        batched = _scan_return_probabilities(registers, omegas, RB60_PAIR.c3, t)
+        single = [[_register_return_probability(r, omega, RB60_PAIR.c3, t)
+                   for r in registers] for omega in omegas]
+        assert batched.shape == (len(omegas), len(registers))
+        assert np.abs(batched - np.array(single)).max() <= 1e-12
+
+    @given(register_specs, drives, pulses)
+    @settings(max_examples=40, deadline=None)
+    def test_probabilities_in_unit_interval(self, specs, omegas, t):
+        p = _scan_return_probabilities(written_registers(specs), omegas, RB60_PAIR.c3, t)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+
+    @given(register_specs, pulses)
+    @settings(max_examples=30, deadline=None)
+    def test_zero_drive_returns_every_register(self, specs, t):
+        p = _scan_return_probabilities(written_registers(specs), [0.0, 5.0, 0.0],
+                                       RB60_PAIR.c3, t)
+        assert np.all(p[[0, 2]] == 1.0)
+
+    @given(register_specs, drives, pulses, st.sampled_from([0.0, 1e-9]))
+    @settings(max_examples=30, deadline=None)
+    def test_free_rotation_without_exchange(self, specs, omegas, t, c3):
+        registers = written_registers(specs)
+        p = _scan_return_probabilities(registers, omegas, c3, t)
+        n = np.array([len(r) for r in registers])
+        free = np.cos(np.pi * np.asarray(omegas)[:, None] * t) ** (2 * n[None, :])
+        assert np.abs(p - free).max() <= 1e-9
+
+    @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1), st.randoms(use_true_random=False),
+           st.floats(0.1, 40.0), st.floats(0.01, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_site_permutation_invariance(self, count, seed, random, omega, t):
+        register, = written_registers([(count, seed)])
+        order = list(range(len(register)))
+        random.shuffle(order)
+        p = _scan_return_probabilities([register, register[order]], [omega],
+                                       RB60_PAIR.c3, t)
+        assert abs(p[0, 0] - p[0, 1]) <= 1e-12
+
+    def test_coincident_sites_rejected(self):
+        with pytest.raises(ValueError, match="coincident"):
+            _scan_return_probabilities([np.zeros((2, 3))], [1.0], RB60_PAIR.c3, 0.1)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads, cores, jobs, expected", [
+        (None, 8, 40, 1), (0, 8, 40, 1), (1, 8, 40, 1), (4, 8, 40, 4),
+        (10 ** 9, 2, 40, 2), (10 ** 9, 10 ** 6, 40, 40), (10 ** 9, None, 40, 1),
+        (3, 8, 1, 1)])
+    def test_cap(self, threads, cores, jobs, expected):
+        assert _worker_count(threads, cores, jobs) == expected
+
+    def test_huge_thread_counts_start_at_most_one_worker_per_core(self, monkeypatch):
+        # No process is started: the pool is replaced by an in-process fake.
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        FakePool.requests.clear()
+        omegas = np.linspace(1.0, 10.0, 7)
+        kwargs = dict(trials=200, seed=22, n_polaritons=3, geometry_samples=10)
+        serial = simulate_rabi_scan(CFG, RB60_PAIR, omegas, 0.3, threads=1, **kwargs)
+        faked = simulate_rabi_scan(CFG, RB60_PAIR, omegas, 0.3, threads=10 ** 9, **kwargs)
+        shots = run_shots(CFG, RB60_PAIR, 9.0, 0.15, 128, 4, threads=10 ** 9)
+        assert [r["max_workers"] for r in FakePool.requests] == [3, 3]
+        scan_jobs = FakePool.requests[0]["jobs"]
+        # contiguous drive blocks, each sent the registers once
+        assert np.array_equal(np.concatenate([job[1] for job in scan_jobs]), omegas)
+        assert all(job[0] is scan_jobs[0][0] for job in scan_jobs)
+        assert np.array_equal(serial.mean_counts, faked.mean_counts)
+        assert np.array_equal(shots, run_shots(CFG, RB60_PAIR, 9.0, 0.15, 128, 4))
