@@ -523,7 +523,7 @@ class RabiScanResult:
 
     omegas: np.ndarray       # MHz
     mean_counts: np.ndarray
-    sem_counts: np.ndarray
+    sem_counts: np.ndarray   # floored at 1/trials, the SEM of a single count
     pulse_duration: float    # us
     trials: int
 
@@ -604,7 +604,9 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
         counts = rng.binomial(n_assigned, p_detect[assignment])
         counts = counts + rng.poisson(background_mean, size=trials)
         means[i] = counts.mean()
-        sems[i] = counts.std(ddof=1) / math.sqrt(trials)
+        # a point with no count in any trial would otherwise get sigma = 0,
+        # which no weighted fit accepts
+        sems[i] = max(counts.std(ddof=1) / math.sqrt(trials), 1.0 / trials)
     return RabiScanResult(omegas=omegas, mean_counts=means, sem_counts=sems,
                           pulse_duration=float(pulse_duration), trials=trials)
 

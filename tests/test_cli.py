@@ -192,6 +192,25 @@ class TestFitCommand:
         assert payload["parameters"]["fwhm"] == pytest.approx(1.34, abs=0.1)
         assert payload["uncertainties"]["fwhm"] > 0
 
+    def test_rabi_scan_csv_with_a_zero_count_point_fits(self, tmp_path):
+        # 500 trials of 3-polariton registers at seed 1 leave several drives
+        # with no count in any trial; their error is the floor 1/trials, not
+        # zero, so `fit` reads the scan's own CSV.
+        assert run_cli("rabi-scan", "--omega-min", 0.5, "--omega-max", 13.5,
+                       "--points", 40, "--pulse-ns", 150, "--trials", 500,
+                       "--n-polaritons", 3, "--geometry-samples", 60,
+                       "--seed", 1, "--threads", 1, "--output-dir", tmp_path) == 0
+        _, data = read_csv(tmp_path / "rabi_scan.csv")
+        empty = data[:, 1] == 0.0
+        assert empty.any()
+        assert np.all(data[empty, 2] == 1.0 / 500)
+        assert np.all(data[~empty, 2] >= 1.0 / 500)
+        assert run_cli("fit", "--model", "rabi_collective",
+                       "--input", tmp_path / "rabi_scan.csv", "--pulse-ns", 150,
+                       "--output-dir", tmp_path) == 0
+        payload = read_json(tmp_path / "fit.json")
+        assert np.isfinite(payload["parameters"]["n"])
+
     def test_rabi_collective_requires_pulse(self, tmp_path, lorentzian_csv):
         code = run_cli("fit", "--model", "rabi_collective",
                        "--input", lorentzian_csv,

@@ -449,6 +449,19 @@ class TestRabiScan:
                     + CFG.background_rate * CFG.window_duration)
         assert abs(scan.mean_counts[0] - expected) < 3.5 * scan.sem_counts[0]
 
+    def test_point_without_counts_gets_the_single_count_sem(self):
+        # A pi pulse on lone polaritons empties the register; without
+        # background no trial counts, and the SEM is floored at 1/trials.
+        t_pulse = 0.3
+        omegas = np.array([0.0, 1.0 / (2 * t_pulse)])
+        scan = simulate_rabi_scan(NO_BACKGROUND, RB60_PAIR, omegas, t_pulse,
+                                  trials=400, seed=3, n_polaritons=1,
+                                  geometry_samples=10)
+        assert scan.mean_counts[1] == 0.0
+        assert scan.sem_counts[1] == 1.0 / 400
+        assert scan.mean_counts[0] > 0.0
+        assert scan.sem_counts[0] > 1.0 / 400
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([]), 0.3, trials=100,
