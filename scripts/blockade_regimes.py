@@ -1,14 +1,24 @@
 """Map the optical and microwave blockade radii across the drive range.
 
-Writes regimes.csv with r_mu versus drive frequency and prints the drive at
-which the microwave radius crosses the optical one, i.e. where exchange
-suppression takes over from microwave blockade.
+Writes regimes.csv with r_mu versus drive frequency into --output-dir
+(default: the working directory) and prints the drive at which the
+microwave radius crosses the optical one, i.e. where exchange suppression
+takes over from microwave blockade.
 """
+
+import argparse
+from pathlib import Path
 
 import numpy as np
 
 from rydpol import ExperimentConfig, RB60_PAIR
 from rydpol.config import microwave_blockade_radius, optical_blockade_radius
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--output-dir", type=Path, default=Path("."),
+                    help="directory for regimes.csv (default: the working directory)")
+output_dir = parser.parse_args().output_dir
+output_dir.mkdir(parents=True, exist_ok=True)
 
 config = ExperimentConfig()
 r_o = optical_blockade_radius(RB60_PAIR.c6, config.eit_width)
@@ -30,6 +40,6 @@ for omega in (20.0, 200.0):
 
 header = "omega_mu_mhz,r_mu_um,r_o_um"
 rows = np.c_[omegas, r_mu, np.full_like(omegas, r_o)]
-np.savetxt("regimes.csv", rows, delimiter=",", header=header, comments="",
-           fmt="%.6g")
-print("wrote regimes.csv")
+path = output_dir / "regimes.csv"
+np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.6g")
+print(f"wrote {path}")

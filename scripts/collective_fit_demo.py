@@ -3,8 +3,12 @@
 Generates one counting-noise realization of a 40-point drive-frequency scan
 (30 x 3334 shots per point, three stored polaritons), fits it, then repeats
 over 50 replicates to compare the quoted uncertainty on N against the
-empirical scatter.  Writes scan.csv with the single realization.
+empirical scatter.  Writes scan.csv with the single realization into
+--output-dir (default: the working directory).
 """
+
+import argparse
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +19,12 @@ T_PULSE = 0.150                      # us
 OMEGAS = np.linspace(0.5, 13.5, 40)  # MHz
 SHOTS = 30 * 3334
 TRUTH = (0.0216, 3.0, 2.0, 3.0, 0.00065)  # a, n, omega_env, omega_decay, b
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--output-dir", type=Path, default=Path("."),
+                    help="directory for scan.csv (default: the working directory)")
+output_dir = parser.parse_args().output_dir
+output_dir.mkdir(parents=True, exist_ok=True)
 
 
 def realize(seed):
@@ -35,11 +45,12 @@ for name in result.parameter_names:
 print(f"  chi2/dof     = {result.chi2 / (OMEGAS.size - 5):.3f} "
       f"({result.iterations} iterations, {result.status})")
 
-np.savetxt("scan.csv", np.c_[OMEGAS, y, sigma], delimiter=",",
+path = output_dir / "scan.csv"
+np.savetxt(path, np.c_[OMEGAS, y, sigma], delimiter=",",
            header="omega_mu_mhz,retrieved_fraction,err", comments="",
            fmt="%.8g")
-print("wrote scan.csv (feed to: rydpol fit --model rabi_collective "
-      "--input scan.csv --pulse-ns 150)")
+print(f"wrote {path} (feed to: rydpol fit --model rabi_collective "
+      f"--input {path} --pulse-ns 150)")
 
 fitted, quoted = [], []
 for seed in spawn_trial_seeds(42, 50):

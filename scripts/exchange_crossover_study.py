@@ -6,18 +6,28 @@ relative to the interaction scale shows the weak-to-strong crossover.  The
 interaction scale of a disordered register is ambiguous, so the sweep is
 reported against three conventions: the contact value at the blockade
 radius, the ensemble-mean pairwise coupling, and the mean nearest-neighbour
-coupling.  Writes crossover.csv.
+coupling.  Writes crossover.csv into --output-dir (default: the working
+directory).
 """
+
+import argparse
+from pathlib import Path
 
 import numpy as np
 
 from rydpol import ExperimentConfig, RB60_PAIR
 from rydpol.config import dipole_interaction, optical_blockade_radius
-from rydpol.montecarlo import _register_return_probability, _scan_geometries
+from rydpol.montecarlo import _scan_geometries, _scan_return_probabilities
 
 SAMPLES = 1000
 SEED = 77
 RATIOS = np.array([0.2, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--output-dir", type=Path, default=Path("."),
+                    help="directory for crossover.csv (default: the working directory)")
+output_dir = parser.parse_args().output_dir
+output_dir.mkdir(parents=True, exist_ok=True)
 
 config = ExperimentConfig()
 r_o = optical_blockade_radius(RB60_PAIR.c6, config.eit_width)
@@ -35,6 +45,7 @@ for reg in registers:
     nn_v.extend(abs(dipole_interaction(RB60_PAIR.c3, r))
                 for r in full.min(axis=1))
 
+positions = [reg.polariton_positions for reg in registers]
 conventions = {
     "contact": abs(dipole_interaction(RB60_PAIR.c3, r_o)),
     "mean_pairwise": float(np.mean(pair_v)),
@@ -51,9 +62,8 @@ for name, v_bar in conventions.items():
     curve = []
     for ratio in RATIOS:
         omega = ratio * v_bar
-        vals = [_register_return_probability(r.polariton_positions, omega,
-                                             RB60_PAIR.c3, 1.0 / omega)
-                for r in registers]
+        vals = _scan_return_probabilities(positions, [omega], RB60_PAIR.c3,
+                                          1.0 / omega)
         curve.append(float(np.mean(vals)))
     table[name] = curve
     monotone = all(a < b for a, b in zip(curve, curve[1:]))
@@ -63,9 +73,9 @@ for name, v_bar in conventions.items():
 
 header = "omega_over_v," + ",".join(table)
 rows = np.column_stack([RATIOS] + [table[name] for name in table])
-np.savetxt("crossover.csv", rows, delimiter=",", header=header, comments="",
-           fmt="%.6g")
-print("wrote crossover.csv")
+path = output_dir / "crossover.csv"
+np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.6g")
+print(f"wrote {path}")
 print("note: only the contact convention sweeps monotonically; even there "
       "the weak-drive floor sits near 0.5 because the median pair in a "
       "blockade-separated register is far weaker than the contact value.")

@@ -3,10 +3,12 @@
 Runs the pulsed correlation pipeline for 1-4 independent emitters to trace
 g2(0) = 1 - 1/N, then sweeps the drift amplitude to show the side peaks
 rising as 1 + Var/Mean^2 while the antibunching dip survives.  Writes
-hbt_summary.csv.
+hbt_summary.csv into --output-dir (default: the working directory).
 """
 
+import argparse
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +17,12 @@ from rydpol.montecarlo import DriftSpec, background_correct_g2, simulate_hbt_run
 
 TRIALS = 100_000
 SEED = 42
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+parser.add_argument("--output-dir", type=Path, default=Path("."),
+                    help="directory for hbt_summary.csv (default: the working directory)")
+output_dir = parser.parse_args().output_dir
+output_dir.mkdir(parents=True, exist_ok=True)
 
 config = ExperimentConfig()
 rows = []
@@ -46,7 +54,8 @@ corrected = background_correct_g2(run.g2_zero, signal_fraction)
 print(f"\nbackground correction at signal fraction {signal_fraction}: "
       f"{run.g2_zero:.4f} -> {corrected:.4f}")
 
-np.savetxt("hbt_summary.csv", np.asarray(rows), delimiter=",",
+path = output_dir / "hbt_summary.csv"
+np.savetxt(path, np.asarray(rows), delimiter=",",
            header="n_emitters,drift_rel_std,g2_zero,g2_zero_err,side_peak_level",
            comments="", fmt="%.6g")
-print("wrote hbt_summary.csv")
+print(f"wrote {path}")

@@ -1,0 +1,49 @@
+"""The scripts/ studies: each takes --output-dir and writes its CSV there."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rydpol
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+STUDIES = {
+    "blockade_regimes.py": "regimes.csv",
+    "collective_fit_demo.py": "scan.csv",
+    "exchange_crossover_study.py": "crossover.csv",
+    "hbt_statistics.py": "hbt_summary.csv",
+}
+
+
+def run_script(name, *argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(rydpol.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_help_names_output_dir(name, tmp_path):
+    done = run_script(name, "--help", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "--output-dir" in done.stdout
+    assert STUDIES[name] in done.stdout
+    assert not any(tmp_path.iterdir())
+
+
+def test_quickest_study_writes_into_output_dir(tmp_path):
+    cwd, out = tmp_path / "cwd", tmp_path / "out" / "nested"
+    cwd.mkdir()
+    done = run_script("blockade_regimes.py", "--output-dir", out, cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    assert not any(cwd.iterdir())
+    path = out / "regimes.csv"
+    assert f"wrote {path}" in done.stdout
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline().strip() == "omega_mu_mhz,r_mu_um,r_o_um"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (200, 3)
+    assert np.all(np.diff(data[:, 1]) < 0)  # r_mu shrinks as the drive grows
