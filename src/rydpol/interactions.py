@@ -469,11 +469,10 @@ def _checked_eigh(matrices, check_vectors=True):
                            axis=-1, initial=0.0)
         bad = (residuals > 1e-9 * h_norm) & (h_norm > 0.0)
         if np.any(bad):
-            worst = np.unravel_index(np.argmax(np.where(bad, residuals / h_norm, 0.0)),
-                                     bad.shape)
+            first = np.flatnonzero(bad)[0]
             raise RuntimeError(
-                f"eigenpair residual {residuals[worst]:.3e} exceeds "
-                f"1e-9 * ||H|| = {1e-9 * h_norm[worst]:.3e}")
+                f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
+                f"1e-9 * ||H|| = {1e-9 * h_norm.flat[first]:.3e}")
     return w, v
 
 

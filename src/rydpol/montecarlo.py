@@ -587,10 +587,11 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
         overlaps = _scan_return_probabilities(registers, omegas, pair_coeffs.c3,
                                               pulse_duration)
     else:
-        jobs = [(registers, block, pair_coeffs.c3, pulse_duration)
-                for block in np.array_split(omegas, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            overlaps = np.concatenate(list(pool.map(_scan_block, jobs)))
+            overlaps = np.concatenate(list(pool.map(
+                _scan_return_probabilities, [registers] * workers,
+                np.array_split(omegas, workers), [pair_coeffs.c3] * workers,
+                [pulse_duration] * workers)))
 
     trials = int(trials)
     assignment = np.arange(trials) % len(geometries)
@@ -609,7 +610,3 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
         sems[i] = max(counts.std(ddof=1) / math.sqrt(trials), 1.0 / trials)
     return RabiScanResult(omegas=omegas, mean_counts=means, sem_counts=sems,
                           pulse_duration=float(pulse_duration), trials=trials)
-
-
-def _scan_block(args):
-    return _scan_return_probabilities(*args)

@@ -506,10 +506,10 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, func, jobs):
-        jobs = list(jobs)
+    def map(self, func, *iterables):
+        jobs = list(zip(*iterables))
         self.requests[-1]["jobs"] = jobs
-        return [func(job) for job in jobs]
+        return [func(*job) for job in jobs]
 
 
 class TestScanKernel:
