@@ -8,8 +8,10 @@ exponential decay that takes over at low drive frequencies.
 
 The minimizer is a self-contained Levenberg-Marquardt loop: residual
 Jacobians by central finite differences, Marquardt diagonal scaling, and
-strictly monotone accepted steps.  Convergence is declared when the norm
-of the cost gradient, measured in the inverse-curvature metric of the
+strictly monotone accepted steps.  A parameter at a bound that descent
+would push past it is held there: steps and the convergence test cover
+only the free parameters.  Convergence is declared when the norm of the
+cost gradient, measured in the inverse-curvature metric of the
 Gauss-Newton Hessian (square root of twice the cost decrease available to
 a full Gauss-Newton step — an affine-invariant gradient norm that is
 immune to the parameter and sigma scales), drops below
@@ -253,6 +255,26 @@ def _clip_to_bounds(params, spec):
     return np.minimum(np.maximum(params, spec.lower), spec.upper)
 
 
+def _free_parameters(jac, residual, params, spec):
+    """Mask of the parameters a descent step can move.
+
+    A parameter at a bound whose descent direction ``-g_k`` (``g = 2 J^T r``)
+    points out of the box is held there; every other parameter is free.
+    """
+    gradient = 2.0 * (jac.T @ residual)
+    return ~(((params <= spec.lower) & (gradient > 0.0))
+             | ((params >= spec.upper) & (gradient < 0.0)))
+
+
+def _free_columns(jac, free):
+    """The columns of jac of the free parameters.
+
+    jac itself when all are free, so that a fit holding no parameter runs
+    bit for bit the arithmetic of the unprojected method.
+    """
+    return jac if free.all() else jac[:, free]
+
+
 def _metric_gradient_norm(jac, residual):
     """Cost-gradient norm in the inverse Gauss-Newton curvature metric.
 
@@ -270,13 +292,15 @@ def fit(spec, x, y, sigma, initial=None, max_iterations=200):
     """Minimize sum(((y - f(x)) / sigma)^2) with Levenberg-Marquardt.
 
     Starts from ``spec.initial`` unless ``initial`` overrides it.  Steps
-    solve ``(J^T J + lam*diag(J^T J)) delta = -J^T r`` and are accepted only
-    if the cost strictly decreases; rejected steps raise the damping.  A
-    singular normal matrix triggers damped retries and, if damping alone
-    cannot produce a usable step, a FitError.  Returns a FitResult whose
+    solve ``(J^T J + lam*diag(J^T J)) delta = -J^T r`` over the free
+    parameters (a parameter at a bound that descent would push past it is
+    held there) and are accepted only if the cost strictly decreases;
+    rejected steps raise the damping.  A singular normal matrix triggers
+    damped retries and, if damping alone cannot produce a usable step, a
+    FitError.  Returns a FitResult whose
     status is "converged" when the curvature-metric norm of the cost
-    gradient falls below ``1e-8 * (1 + cost)`` and "max_iterations" (best
-    parameters so far) otherwise.
+    gradient over the free parameters falls below ``1e-8 * (1 + cost)``
+    and "max_iterations" (best parameters so far) otherwise.
     """
     x, y = _validated_xy(x, y)
     sigma = np.asarray(sigma, dtype=float)
@@ -310,26 +334,29 @@ def fit(spec, x, y, sigma, initial=None, max_iterations=200):
     status = "max_iterations"
     iterations = 0
     jac = finite_difference_jacobian(residuals, params)
-    gradient_norm = _metric_gradient_norm(jac, current)
+    free = _free_parameters(jac, current, params, spec)
+    gradient_norm = _metric_gradient_norm(_free_columns(jac, free), current)
 
     for iterations in range(1, max_iterations + 1):
         if gradient_norm < GRADIENT_TOLERANCE * (1.0 + cost):
             status = "converged"
             iterations -= 1
             break
-        normal = jac.T @ jac
+        active = _free_columns(jac, free)
+        normal = active.T @ active
         diag = np.diag(normal).copy()
         diag[diag <= 0] = 1.0
         delta = None
         for _ in range(16):
             try:
                 step = np.linalg.solve(normal + lam * np.diag(diag),
-                                       -(jac.T @ current))
+                                       -(active.T @ current))
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             if np.all(np.isfinite(step)):
-                delta = step
+                delta = np.zeros_like(params)
+                delta[free] = step
                 break
             lam *= 10.0
         if delta is None:
@@ -343,7 +370,8 @@ def fit(spec, x, y, sigma, initial=None, max_iterations=200):
             params, current, cost = trial, trial_res, trial_cost
             lam = max(lam / 3.0, 1e-12)
             jac = finite_difference_jacobian(residuals, params)
-            gradient_norm = _metric_gradient_norm(jac, current)
+            free = _free_parameters(jac, current, params, spec)
+            gradient_norm = _metric_gradient_norm(_free_columns(jac, free), current)
         else:
             lam *= 10.0
             if lam > 1e15:

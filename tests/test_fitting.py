@@ -10,6 +10,7 @@ Independent oracles used here:
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
+import rydpol.fitting as fitting
 from rydpol.fitting import (
     FitError,
     ModelSpec,
@@ -336,6 +338,36 @@ class TestFitEngine:
         with pytest.raises(ValueError, match="bounds"):
             fit(spec, SCAN_OMEGAS, y, sigma,
                 initial=np.array([1.0, -5.0, 2.0, 3.0, 0.0]))
+
+    def test_optimum_on_a_bound_converges(self):
+        # A Lorentzian 100 times wider than the spec allows: the best fit
+        # holds fwhm at its upper bound (10 x span) and must still report
+        # convergence, with the gradient of the free parameters vanishing.
+        x = np.linspace(-3, 3, 15)
+        y = lorentzian(x, 1.0, 0.2, 600.0, 0.05)
+        spec = lorentzian_spec(x, y)
+        result = fit(spec, x, y, np.full(x.size, 0.01))
+        assert result.status == "converged"
+        assert result.as_dict()["fwhm"] == spec.upper[2]
+        assert result.gradient_norm < 1e-8 * (1.0 + result.chi2)
+
+    @pytest.mark.parametrize("seed", [9000, 9001, 9002, 9100, 9500])
+    def test_fit_inside_bounds_is_unchanged_by_the_projection(self, seed):
+        # With no parameter at a bound, holding none is the unprojected LM:
+        # parameters and iterations agree bit for bit.
+        y, sigma = synthetic_scan(seed)
+        spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)
+        result = fit(spec, SCAN_OMEGAS, y, sigma, max_iterations=400)
+        assert np.all((result.parameters > spec.lower) & (result.parameters < spec.upper))
+
+        def all_free(jac, residual, params, spec):
+            return np.ones(params.size, dtype=bool)
+
+        with patch.object(fitting, "_free_parameters", all_free):
+            unprojected = fit(spec, SCAN_OMEGAS, y, sigma, max_iterations=400)
+        assert result.parameters.tobytes() == unprojected.parameters.tobytes()
+        assert result.iterations == unprojected.iterations
+        assert result.status == unprojected.status == "converged"
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=10, deadline=None)
