@@ -15,6 +15,7 @@ Theta = pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,12 +114,11 @@ class SiteBasis:
 
 def _check_hermitian(matrix, what):
     """Raise unless `matrix` (or each matrix of a stack) is finite and Hermitian."""
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ValueError(f"{what} has non-finite entries")
-    scale = np.max(np.abs(matrix), axis=(-2, -1), initial=0.0)
-    skew = np.max(np.abs(matrix - np.swapaxes(matrix, -2, -1).conj()), axis=(-2, -1),
-                  initial=0.0)
-    if np.any(skew > _HERMITICITY_RTOL * scale):
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(matrix - np.swapaxes(matrix, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    if (skew > _HERMITICITY_RTOL * scale).any():
         raise ValueError(f"{what} is not Hermitian")
 
 
@@ -278,6 +278,46 @@ def build_hamiltonian(basis, positions, omega_mu, c3, coupling_graph="all_pairs"
             + build_dd_hamiltonian(basis, positions, c3, coupling_graph, weights))
 
 
+def _distances(diffs):
+    """Euclidean norms over the last axis of `diffs`, for any leading shape.
+
+    matmul reduces each vector with the BLAS dot that np.linalg.norm uses for
+    one vector, so every entry equals float(np.linalg.norm(d)) bit for bit;
+    a sum of squares over the axis rounds differently.
+    """
+    return np.sqrt(diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0]
+
+
+@functools.cache
+def _pi_sector_tables(n_sites, coupling_graph):
+    """Index tables of the pi-sector Hamiltonian of n_sites sites, read-only.
+
+    Returns (pairs, drive, exchange, pair_of_entry): the coupled site pairs
+    as a (p, 2) array, the flat indices (row * dim + column) of the drive
+    entries, those of the exchange entries, and the pair each exchange entry
+    belongs to.  Every off-diagonal entry belongs to at most one of them.
+    Only index arrays are kept; callers are validated to 2^n <= MAX_DIMENSION,
+    which bounds the cache at 12 sizes per coupling graph.
+    """
+    dim = 2 ** n_sites
+    idx = np.arange(dim)
+    bits = 1 << (n_sites - 1 - np.arange(n_sites))
+    drive = ((idx ^ bits[:, None]) * dim + idx).ravel()
+    pairs = np.array(_coupled_pairs(n_sites, coupling_graph), dtype=np.intp).reshape(-1, 2)
+    exchange, pair_of_entry = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for pair, (i, j) in enumerate(pairs):
+        # flip-flop |s p0> <-> |p0 s> from the pi channel; sigma channels act
+        # only on p+/p- and vanish on this subspace
+        sp = idx[(idx & bits[i] == 0) & (idx & bits[j] != 0)]
+        ps = sp ^ bits[i] ^ bits[j]
+        exchange += [ps * dim + sp, sp * dim + ps]
+        pair_of_entry.append(np.full(2 * sp.size, pair))
+    tables = (pairs, drive, np.concatenate(exchange), np.concatenate(pair_of_entry))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _pi_sector_drive(n_sites):
     """Drive term of the pi-sector Hamiltonian per unit Omega_mu: (1/2) sum_i X_i.
 
@@ -285,11 +325,9 @@ def _pi_sector_drive(n_sites):
     matrix is Omega_mu times this plus the (Omega-independent) exchange.
     """
     dim = 2 ** n_sites
-    matrix = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for i in range(n_sites):
-        matrix[idx ^ (1 << (n_sites - 1 - i)), idx] = 0.5
-    return matrix
+    matrix = np.zeros(dim * dim)
+    matrix[_pi_sector_tables(n_sites, "all_pairs")[1]] = 0.5
+    return matrix.reshape(dim, dim)
 
 
 def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pairs",
@@ -299,10 +337,11 @@ def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pai
     Starting from the all-s register, the pi-polarized drive only creates p0
     amplitude and the sigma channels only move existing p+/p- excitations, so
     the joint state never leaves the 2^n-dimensional {s, p0} subspace.  This
-    returns the dense 2^n x 2^n matrix in the site-major basis with per-site
+    returns a new dense 2^n x 2^n matrix in the site-major basis with per-site
     digits s=0, p0=1; index 0 is the all-s state.  Spectra and overlaps agree
     exactly with the full 4^n builder on this subspace, at a fraction of the
-    cost for Monte Carlo work.
+    cost for Monte Carlo work.  The global flip P = prod_i X_i (index k ->
+    2^n - 1 - k) commutes with this matrix, which eigenspectrum exploits.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_sites = positions.shape[0]
@@ -318,20 +357,18 @@ def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pai
     if dim > MAX_DIMENSION:
         raise ValueError(f"dimension {dim} exceeds the dense-solver cap {MAX_DIMENSION}")
 
-    matrix = omega_mu * _pi_sector_drive(n_sites)
-    idx = np.arange(dim)
-    for i, j in _coupled_pairs(n_sites, coupling_graph):
-        r_ij = float(np.linalg.norm(positions[i] - positions[j]))
-        if r_ij <= 0.0:
-            raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
-        bit_i = 1 << (n_sites - 1 - i)
-        bit_j = 1 << (n_sites - 1 - j)
-        # flip-flop |s p0> <-> |p0 s> from the pi channel; sigma channels act
-        # only on p+/p- and vanish on this subspace
-        sp = idx[(idx & bit_i == 0) & (idx & bit_j != 0)]
-        matrix[sp ^ bit_i ^ bit_j, sp] += weights.zz * c3 * 1e3 / r_ij ** 3
-        matrix[sp, sp ^ bit_i ^ bit_j] += weights.zz * c3 * 1e3 / r_ij ** 3
-    return matrix
+    pairs, drive, exchange, pair_of_entry = _pi_sector_tables(n_sites, coupling_graph)
+    distances = _distances(positions[pairs[:, 0]] - positions[pairs[:, 1]])
+    coincident = np.flatnonzero(distances <= 0.0)
+    if coincident.size:
+        i, j = pairs[coincident[0]]
+        raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
+    # Python floats: numpy's vectorized power may round r^3 differently
+    couplings = np.array([weights.zz * c3 * 1e3 / r_ij ** 3 for r_ij in distances.tolist()])
+    matrix = np.zeros(dim * dim)
+    matrix[drive] = omega_mu * 0.5
+    matrix[exchange] += couplings[pair_of_entry]
+    return matrix.reshape(dim, dim)
 
 
 # --------------------------------------------------------------------------
@@ -449,31 +486,106 @@ def eigenspectrum(h, return_vectors=False):
 
     Accepts a SiteHamiltonian, a JcChain, or a raw Hermitian matrix.  When
     vectors are requested, each pair satisfies ||H v - w v|| <= 1e-9 ||H||.
+    A matrix of at least 2048 entries that is exactly centrosymmetric
+    (P H P = H for the reversal P, the global flip of a pi-sector register)
+    is solved as two half-size blocks; any other matrix, such as one from
+    the full 4^n builder, by one dense solve.
     """
     w, v = _checked_eigh(_as_matrix(h), check_vectors=return_vectors)
     return (w, v) if return_vectors else w
 
 
-def _checked_eigh(matrices, check_vectors=True):
-    """np.linalg.eigh of one Hermitian matrix or a stack (..., d, d), checked.
+#: Fewest entries, over all matrices of a stack together, at which
+#: _block_eigh tests for the parity split.  Below it the bookkeeping costs
+#: more than the half-size solves save: one 32-row matrix breaks even, and
+#: a stack of 8-row matrices starts to gain at about 20 of them.
+_SPLIT_MIN_ENTRIES = 2048
+
+
+def _centrosymmetric(matrices):
+    """Whether every matrix of the stack has even order and equals P H P."""
+    return matrices.shape[-1] % 2 == 0 and np.array_equal(matrices, matrices[..., ::-1, ::-1])
+
+
+def _block_eigh(matrices, check_vectors=True):
+    """Checked np.linalg.eigh of one Hermitian matrix or a stack (..., d, d).
 
     Raises ValueError unless every matrix is finite and Hermitian and, with
     check_vectors, RuntimeError unless every eigenpair satisfies
     ||H v - w v|| <= 1e-9 ||H|| (||H|| = largest |eigenvalue| of that matrix).
+
+    Returns (w, v, split), w and v with one leading axis more than eigh's.
+    A centrosymmetric H = [[A, B], [J B J, J A J]] (J the d/2 reversal) is
+    block-diagonalized by the orthogonal Q = [[I, I], [J, -J]] / sqrt(2)
+    into A + B J and A - B J; then split is True, the leading axis holds
+    the eigenpairs of those two blocks, and an eigenvector u of A +- B J
+    lifts to the eigenvector [u; +-J u] / sqrt(2) of H.  The residual check
+    runs on the blocks, which bounds the same norm since Q is orthogonal.
+    Otherwise the leading axis has length 1 and holds those of H itself.
     """
     _check_hermitian(matrices, "eigenspectrum input")
-    w, v = np.linalg.eigh(matrices)
+    split = matrices.size >= _SPLIT_MIN_ENTRIES and _centrosymmetric(matrices)
+    if split:
+        half = matrices.shape[-1] // 2
+        top = matrices[..., :half, :half]
+        corner = matrices[..., :half, half:][..., ::-1]
+        blocks = np.empty((2,) + top.shape, dtype=top.dtype)
+        np.add(top, corner, out=blocks[0])
+        np.subtract(top, corner, out=blocks[1])
+    else:
+        blocks = matrices[None]
+    w, v = np.linalg.eigh(blocks)
     if check_vectors:
-        h_norm = np.max(np.abs(w), axis=-1, initial=0.0)
-        residuals = np.max(np.linalg.norm(matrices @ v - v * w[..., None, :], axis=-2),
-                           axis=-1, initial=0.0)
+        h_norm = np.abs(w).max(axis=(0, -1), initial=0.0)
+        misfit = blocks @ v
+        misfit -= v * w[..., None, :]
+        residuals = np.sqrt(np.einsum("...ij,...ij->...j", misfit.conj(), misfit).real)
+        residuals = residuals.max(axis=(0, -1), initial=0.0)
         bad = (residuals > 1e-9 * h_norm) & (h_norm > 0.0)
-        if np.any(bad):
+        if bad.any():
             first = np.flatnonzero(bad)[0]
             raise RuntimeError(
                 f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
                 f"1e-9 * ||H|| = {1e-9 * h_norm.flat[first]:.3e}")
-    return w, v
+    return w, v, split
+
+
+def _checked_eigh(matrices, check_vectors=True):
+    """np.linalg.eigh of one Hermitian matrix or a stack, checked (see _block_eigh).
+
+    Eigenvalues come back ascending, with the eigenvectors as columns.
+    """
+    w, v, split = _block_eigh(matrices, check_vectors)
+    if not split:
+        return w[0], v[0]
+    half = matrices.shape[-1] // 2
+    w = np.concatenate([w[0], w[1]], axis=-1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    top = np.take_along_axis(np.concatenate([v[0], v[1]], axis=-1), order[..., None, :], axis=-1)
+    top *= math.sqrt(0.5)
+    vectors = np.empty(matrices.shape, dtype=top.dtype)
+    vectors[..., :half, :] = top
+    vectors[..., half:, :] = top[..., ::-1, :]
+    # columns from the A - B J block carry -J u in the lower half
+    vectors[..., half:, :] *= np.where(order < half, 1.0, -1.0)[..., None, :]
+    return np.take_along_axis(w, order, axis=-1), vectors
+
+
+def _all_s_return_probabilities(matrices, t):
+    """|<0| exp(-2 pi i H t) |0>|^2 for each real symmetric H of a stack, checked.
+
+    Basis state 0 is the all-s state of a pi-sector register.  The spectral
+    sum runs over the eigenpairs from _block_eigh without lifting them: state
+    0 has amplitude u_0 / sqrt(2) on each lifted block eigenvector, so a
+    split stack needs no assembled eigenvectors.  Clipped at 1 against
+    rounding.
+    """
+    w, v, split = _block_eigh(matrices)
+    weights = v[..., 0, :] ** 2
+    if split:
+        weights *= 0.5
+    amplitude = np.sum(weights * np.exp(-2j * np.pi * w * t), axis=(0, -1))
+    return np.minimum(1.0, np.abs(amplitude) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import ExperimentConfig, PairCoefficients, optical_blockade_radius
 from .interactions import (
-    _checked_eigh,
+    _all_s_return_probabilities,
+    _distances,
     _pi_sector_drive,
     build_pi_sector_hamiltonian,
     time_evolve,
@@ -109,13 +110,20 @@ class WriteResult:
             raise ValueError("cannot accept more polaritons than candidates")
 
 
+#: Candidates per distance matrix in write_polaritons, which bounds its
+#: memory for any cloud size; the default write draws about 3.5 candidates.
+_WRITE_BLOCK = 256
+
+
 def write_polaritons(cloud, r_o, max_attempts=None):
     """Sequential hard-sphere acceptance of excitation candidates.
 
     Candidates are visited in sampled order (an i.i.d. draw is already a
     uniformly random order); a candidate is excited iff no previously
     accepted excitation lies within r_o.  max_attempts caps how many
-    candidates are considered.
+    candidates are considered.  The distances of a block of up to
+    _WRITE_BLOCK candidates to the earlier acceptances and to each other
+    are computed at once; one pass over the block then accepts in order.
     """
     if not (math.isfinite(r_o) and r_o > 0):
         raise ValueError(f"r_o must be positive, got {r_o!r}")
@@ -124,17 +132,18 @@ def write_polaritons(cloud, r_o, max_attempts=None):
         if not isinstance(max_attempts, (int, np.integer)) or max_attempts < 0:
             raise ValueError(f"max_attempts must be a non-negative integer, got {max_attempts!r}")
         candidates = candidates[: int(max_attempts)]
-    accepted = []
-    for point in candidates:
-        if all(np.linalg.norm(point - prior) >= r_o for prior in accepted):
-            accepted.append(point)
-    positions = np.array(accepted, dtype=float).reshape(-1, 3)
-    if len(accepted) > 1:
-        diffs = positions[:, None, :] - positions[None, :, :]
-        dists = np.linalg.norm(diffs, axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        assert dists.min() >= r_o, "blockade violation: polariton pair closer than r_o"
-    return WriteResult(polariton_positions=positions, n_polaritons=len(accepted),
+    accepted = candidates[:0]
+    for start in range(0, len(candidates), _WRITE_BLOCK):
+        # rows: this block's candidates; columns: the acceptances so far, then
+        # the same candidates
+        others = np.concatenate([accepted, candidates[start:start + _WRITE_BLOCK]])
+        near = ~(_distances(others[len(accepted):, None, :] - others) >= r_o)
+        taken = list(range(len(accepted)))
+        for index, row in enumerate(near.tolist(), start=len(accepted)):
+            if not any(row[t] for t in taken):
+                taken.append(index)
+        accepted = others[taken]
+    return WriteResult(polariton_positions=accepted, n_polaritons=len(accepted),
                        n_candidates=len(candidates))
 
 
@@ -160,7 +169,8 @@ def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
     c3, pulse_duration), up to rounding.  The Omega-independent exchange V of
     each register is built once and the unit drive D once per register size;
     at each drive the registers of one size are stacked as H = Omega*D + V,
-    checked and diagonalized together, and p = |sum_k v_0k^2 exp(-2 pi i w_k t)|^2.
+    checked and diagonalized together (by parity blocks where that pays), and
+    p = |sum_k v_0k^2 exp(-2 pi i w_k t)|^2.
     """
     omegas = np.asarray(omegas, dtype=float)
     probabilities = np.ones((omegas.size, len(registers)))
@@ -175,10 +185,8 @@ def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
         for i, omega in enumerate(omegas):
             if omega == 0.0:
                 continue
-            w, v = _checked_eigh(omega * drive + exchange)
-            amplitude = np.sum(v[:, 0, :] ** 2 * np.exp(-2j * np.pi * w * pulse_duration),
-                               axis=-1)
-            probabilities[i, members] = np.minimum(1.0, np.abs(amplitude) ** 2)
+            probabilities[i, members] = _all_s_return_probabilities(
+                omega * drive + exchange, pulse_duration)
     return probabilities
 
 
@@ -543,6 +551,10 @@ def _scan_geometries(config, pair_coeffs, count, seed, n_polaritons=None,
                 f"in {budget} attempts")
         n_candidates = int(philox_stream(seed, _STAGE_CANDIDATES, attempt)
                            .poisson(mean_candidates))
+        if n_polaritons is not None and n_candidates < n_polaritons:
+            # no write stores more polaritons than it has candidates
+            attempt += 1
+            continue
         if n_candidates == 0:
             write = WriteResult(polariton_positions=np.empty((0, 3)),
                                 n_polaritons=0, n_candidates=0)

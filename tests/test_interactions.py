@@ -11,12 +11,14 @@ Independent oracles used here:
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rydpol.interactions as interactions
 from rydpol.collective import retrieval_probability
 from rydpol.interactions import (
     LEVELS,
@@ -25,8 +27,10 @@ from rydpol.interactions import (
     MU_Z,
     ChannelWeights,
     SiteBasis,
+    _centrosymmetric,
     _checked_eigh,
     _pi_sector_drive,
+    _pi_sector_tables,
     build_dd_hamiltonian,
     build_drive_hamiltonian,
     build_hamiltonian,
@@ -560,6 +564,173 @@ class TestPiSectorReduction:
         pos = np.column_stack([np.zeros(13), np.zeros(13), np.arange(13) * 8.0])
         with pytest.raises(ValueError):
             build_pi_sector_hamiltonian(pos, 10.0, C3)
+
+
+
+def loop_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pairs",
+                               weights=ChannelWeights()):
+    """Reference pi-sector builder: one pass per coupled pair, as a loop."""
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    dim = 2 ** n
+    idx = np.arange(dim)
+    matrix = np.zeros((dim, dim))
+    for i in range(n):
+        matrix[idx ^ (1 << (n - 1 - i)), idx] = 0.5
+    matrix = omega_mu * matrix
+    if coupling_graph == "all_pairs":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    for i, j in pairs:
+        r_ij = float(np.linalg.norm(positions[i] - positions[j]))
+        bit_i, bit_j = 1 << (n - 1 - i), 1 << (n - 1 - j)
+        sp = idx[(idx & bit_i == 0) & (idx & bit_j != 0)]
+        matrix[sp ^ bit_i ^ bit_j, sp] += weights.zz * c3 * 1e3 / r_ij ** 3
+        matrix[sp, sp ^ bit_i ^ bit_j] += weights.zz * c3 * 1e3 / r_ij ** 3
+    return matrix
+
+
+def random_register(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.normal(0, 20.0, n), rng.normal(0, 20.0, n),
+                            rng.normal(0, 60.0, n)])
+
+
+def centrosymmetric_stack(count, dim, seed, complex_valued):
+    """Random Hermitian matrices H with P H P = H exactly (P the reversal)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, dim, dim))
+    if complex_valued:
+        x = x + 1j * rng.normal(size=(count, dim, dim))
+    hermitian = (x + np.swapaxes(x, -2, -1).conj()) / 2
+    return (hermitian + hermitian[..., ::-1, ::-1]) / 2
+
+
+class TestPiSectorTables:
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from(["all_pairs", "nearest_neighbor"]),
+           st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+           st.sampled_from([C3, 0.0, 3.7]),
+           st.one_of(st.just(ChannelWeights()),
+                     st.builds(ChannelWeights, zz=st.floats(-5.0, 5.0))))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_loop_builder_bit_for_bit(self, n, seed, graph, omega, c3, weights):
+        pos = random_register(n, seed)
+        built = build_pi_sector_hamiltonian(pos, omega, c3, graph, weights)
+        reference = loop_pi_sector_hamiltonian(pos, omega, c3, graph, weights)
+        assert built.dtype == reference.dtype and built.shape == reference.shape
+        assert built.tobytes() == reference.tobytes()
+
+    def test_each_call_returns_a_fresh_writable_array(self):
+        pos = random_register(4, 1)
+        first = build_pi_sector_hamiltonian(pos, 2.0, C3)
+        second = build_pi_sector_hamiltonian(pos, 2.0, C3)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.writeable and first.flags.c_contiguous
+        first[...] = np.nan
+        assert np.array_equal(second, build_pi_sector_hamiltonian(pos, 2.0, C3))
+        drive = _pi_sector_drive(4)
+        drive[...] = 7.0
+        assert _pi_sector_drive(4).max() == 0.5
+
+    def test_cache_holds_read_only_index_tables_only(self):
+        for n in range(1, 11):
+            for graph in ("all_pairs", "nearest_neighbor"):
+                build_pi_sector_hamiltonian(random_register(n, n), 1.0, C3, graph)
+                pairs, *flat = _pi_sector_tables(n, graph)
+                assert pairs.shape == (n * (n - 1) // 2 if graph == "all_pairs" else n - 1, 2)
+                for table in (pairs, *flat):
+                    assert np.issubdtype(table.dtype, np.integer)
+                    assert not table.flags.writeable
+                for table in flat:
+                    assert table.ndim == 1 and table.size < 4 ** n
+        assert _pi_sector_tables.cache_info().currsize <= 2 * 12
+
+    def test_first_coincident_pair_is_named(self):
+        pos = random_register(4, 2)
+        pos[3] = pos[1]
+        with pytest.raises(ValueError, match="sites 1 and 3 are coincident"):
+            build_pi_sector_hamiltonian(pos, 2.0, C3)
+
+
+class TestParitySplit:
+    """Centrosymmetric matrices are solved as two half-size blocks."""
+
+    @given(st.integers(1, 4), st.integers(1, 16), st.integers(0, 2 ** 31 - 1),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_dense_solve(self, count, half, seed, complex_valued):
+        stack = centrosymmetric_stack(count, 2 * half, seed, complex_valued)
+        assert _centrosymmetric(stack)
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
+            w, v = _checked_eigh(stack)
+        dense = np.linalg.eigvalsh(stack)
+        scale = np.abs(dense).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(w - dense) <= 1e-12 * scale)
+        assert np.all(np.diff(w, axis=-1) >= 0)
+        assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * scale.max()
+        gram = np.swapaxes(v, -2, -1).conj() @ v
+        assert np.abs(gram - np.eye(2 * half)).max() <= 1e-12
+
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1), st.floats(0.01, 50.0),
+           st.sampled_from([0, None]))
+    @settings(max_examples=40, deadline=None)
+    def test_pi_sector_registers(self, n, seed, omega, threshold):
+        h = build_pi_sector_hamiltonian(random_register(n, seed), omega, C3)
+        assert _centrosymmetric(h)
+        limit = interactions._SPLIT_MIN_ENTRIES if threshold is None else threshold
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", limit):
+            w, v = eigenspectrum(h, return_vectors=True)
+            values_only = eigenspectrum(h)
+        dense = np.linalg.eigvalsh(h)
+        scale = np.abs(dense).max()
+        assert np.all(np.abs(w - dense) <= 1e-12 * scale)
+        assert np.array_equal(values_only, w)
+        assert np.all(np.diff(w) >= 0)
+        assert np.abs(h @ v - v * w).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["split", "dense"])
+    def test_wrong_eigenpairs_are_caught(self, limit):
+        h = build_pi_sector_hamiltonian(random_register(3, 1), 5.0, C3)
+        solve = np.linalg.eigh
+
+        def shifted(a):
+            w, v = solve(a)
+            return w + 1e-6 * np.abs(w).max(), v
+
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", limit), \
+                patch.object(np.linalg, "eigh", shifted):
+            with pytest.raises(RuntimeError, match="eigenpair residual"):
+                _checked_eigh(h)
+            _checked_eigh(h, check_vectors=False)
+
+    @pytest.mark.parametrize("matrix", [
+        build_hamiltonian(SiteBasis(1), [[0.0, 0.0, 0.0]], 3.0, C3).matrix,
+        build_hamiltonian(SiteBasis(2), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0]], 13.0, C3).matrix,
+        build_hamiltonian(SiteBasis(3), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0], [0.0, -3.0, 17.0]],
+                          13.0, C3).matrix,
+        build_jc_chain(sites=2, fock_cutoff=2, g=1.0, f=0.3, v_dd=0.5).matrix,
+        build_jc_chain(sites=3, fock_cutoff=2, g=2.0, f=0.0, v_dd=0.7).matrix,
+        build_jc_chain(sites=2, fock_cutoff=3, g=2.0, f=0.4, v_dd=0.7).matrix,
+    ], ids=["full-1", "full-2", "full-3", "jc-2x3", "jc-3x3", "jc-2x4"])
+    def test_other_builders_take_the_dense_path(self, matrix):
+        assert not _centrosymmetric(matrix)
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
+            w, v = eigenspectrum(matrix, return_vectors=True)
+        dense_w, dense_v = np.linalg.eigh(matrix)
+        assert np.array_equal(w, dense_w) and np.array_equal(v, dense_v)
+
+    def test_single_photon_jc_chain_is_centrosymmetric(self):
+        # With Fock cutoff 1, reversing the (g, e) x (0, 1) site basis maps
+        # |g 1> <-> |e 0> and |g 0> <-> |e 1>, which every term respects, so
+        # this chain takes the split; its spectrum still matches dense eigh.
+        matrix = build_jc_chain(sites=3, fock_cutoff=1, g=2.0, f=0.3, v_dd=0.7).matrix
+        assert _centrosymmetric(matrix) and matrix.size >= interactions._SPLIT_MIN_ENTRIES
+        w, v = eigenspectrum(matrix, return_vectors=True)
+        dense = np.linalg.eigvalsh(matrix)
+        assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.abs(matrix @ v - v * w).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestPairEigenscan:

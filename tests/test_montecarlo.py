@@ -16,6 +16,7 @@ Independent oracles used here:
 
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydpol.config import ExperimentConfig, RB60_PAIR, optical_blockade_radius
+import rydpol.interactions as interactions
 import rydpol.montecarlo as montecarlo
 from rydpol.montecarlo import (
     BASE_RETRIEVAL_EFFICIENCY,
@@ -51,6 +53,15 @@ from rydpol.montecarlo import (
 
 CFG = ExperimentConfig()
 R_O = optical_blockade_radius(RB60_PAIR.c6, CFG.eit_width)
+
+
+def sequential_write(positions, r_o, max_attempts=None):
+    """Reference blockaded write: one candidate at a time, in sampled order."""
+    accepted = []
+    for point in positions[:max_attempts]:
+        if all(np.linalg.norm(point - prior) >= r_o for prior in accepted):
+            accepted.append(point)
+    return np.array(accepted, dtype=float).reshape(-1, 3)
 NO_BACKGROUND = replace(CFG, background_rate=0.0)
 IDEAL = replace(CFG, detection_efficiency=1.0, background_rate=0.0)
 
@@ -115,7 +126,9 @@ class TestBlockadedWrite:
     @settings(max_examples=40, deadline=None)
     def test_blockade_invariant_and_bound(self, seed, count):
         # Hard-sphere guarantee: no accepted pair is closer than r_o, and
-        # the accepted number never exceeds the candidate number.
+        # the accepted number never exceeds the candidate number.  The
+        # acceptances are candidates in sampled order, and every rejected
+        # candidate lies within r_o of a polariton accepted before it.
         cloud = sample_positions(CFG, count, seed)
         result = write_polaritons(cloud, R_O)
         assert 1 <= result.n_polaritons <= count
@@ -124,6 +137,42 @@ class TestBlockadedWrite:
             dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
             np.fill_diagonal(dists, np.inf)
             assert dists.min() >= R_O
+        taken = 0
+        for point in cloud.positions:
+            if taken < len(pos) and np.array_equal(point, pos[taken]):
+                taken += 1
+            else:
+                assert np.any(np.linalg.norm(pos[:taken] - point, axis=-1) < R_O)
+        assert taken == len(pos)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 30),
+           st.floats(0.5, 40.0), st.one_of(st.none(), st.integers(0, 32)),
+           st.sampled_from([2, 3, 256]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_loop(self, seed, count, r_o, max_attempts, block):
+        # Every other candidate is moved to within a few rounding steps of
+        # r_o from candidate 0, so near-ties at the blockade radius are
+        # exercised; small blocks exercise the distances to acceptances of
+        # earlier blocks.
+        rng = np.random.default_rng(seed)
+        positions = sample_positions(CFG, count, seed).positions.copy()
+        for m in range(1, count, 2):
+            direction = rng.normal(size=3)
+            scale = r_o / float(np.linalg.norm(direction))
+            positions[m] = positions[0] + direction * np.nextafter(
+                scale, [0.0, scale, np.inf][m % 3])
+        cloud = CloudSample(positions, seed)
+        with patch.object(montecarlo, "_WRITE_BLOCK", block):
+            result = write_polaritons(cloud, r_o, max_attempts)
+        expected = sequential_write(positions, r_o, max_attempts)
+        assert np.array_equal(result.polariton_positions, expected)
+        assert result.n_candidates == len(positions[:max_attempts])
+
+    def test_result_does_not_alias_the_cloud(self):
+        cloud = sample_positions(CFG, 6, 3)
+        result = write_polaritons(cloud, R_O)
+        result.polariton_positions[...] = 0.0
+        assert np.all(cloud.positions != 0.0)
 
     def test_mean_stored_number_near_three(self):
         # Write-stage calibration: Poisson candidates thinned by the
@@ -462,6 +511,26 @@ class TestRabiScan:
         assert scan.mean_counts[0] > 0.0
         assert scan.sem_counts[0] > 1.0 / 400
 
+    def test_conditioned_registers_skip_short_candidate_draws(self):
+        # An attempt with fewer candidates than the wanted number cannot
+        # store it, so it is neither sampled nor written; the registers are
+        # still the first matching writes in attempt order.
+        calls = []
+
+        def counting(config, count, seed, index=0):
+            calls.append(count)
+            return sample_positions(config, count, seed, index)
+
+        with patch.object(montecarlo, "sample_positions", counting):
+            registers = montecarlo._scan_geometries(CFG, RB60_PAIR, 25, 31, n_polaritons=3)
+        writes = (_written_register(CFG, RB60_PAIR, 31, attempt) for attempt in range(10_000))
+        expected = [w for w in writes if w.n_polaritons == 3][:25]
+        assert len(registers) == 25
+        for got, want in zip(registers, expected):
+            assert np.array_equal(got.polariton_positions, want.polariton_positions)
+            assert got.n_candidates == want.n_candidates
+        assert calls and min(calls) >= 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([]), 0.3, trials=100,
@@ -513,11 +582,14 @@ class FakePool:
 
 
 class TestScanKernel:
-    @given(register_specs, drives, pulses)
+    @given(register_specs, drives, pulses, st.sampled_from([None, 0]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_single_register_kernel(self, specs, omegas, t):
+    def test_matches_single_register_kernel(self, specs, omegas, t, split_from):
+        # split_from=0 solves every stack by parity blocks, whatever its size
         registers = written_registers(specs)
-        batched = _scan_return_probabilities(registers, omegas, RB60_PAIR.c3, t)
+        limit = interactions._SPLIT_MIN_ENTRIES if split_from is None else split_from
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", limit):
+            batched = _scan_return_probabilities(registers, omegas, RB60_PAIR.c3, t)
         single = [[_register_return_probability(r, omega, RB60_PAIR.c3, t)
                    for r in registers] for omega in omegas]
         assert batched.shape == (len(omegas), len(registers))
