@@ -566,7 +566,6 @@ class TestPiSectorReduction:
             build_pi_sector_hamiltonian(pos, 10.0, C3)
 
 
-
 def loop_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pairs",
                                weights=ChannelWeights()):
     """Reference pi-sector builder: one pass per coupled pair, as a loop."""

@@ -53,6 +53,8 @@ from rydpol.montecarlo import (
 
 CFG = ExperimentConfig()
 R_O = optical_blockade_radius(RB60_PAIR.c6, CFG.eit_width)
+NO_BACKGROUND = replace(CFG, background_rate=0.0)
+IDEAL = replace(CFG, detection_efficiency=1.0, background_rate=0.0)
 
 
 def sequential_write(positions, r_o, max_attempts=None):
@@ -62,8 +64,6 @@ def sequential_write(positions, r_o, max_attempts=None):
         if all(np.linalg.norm(point - prior) >= r_o for prior in accepted):
             accepted.append(point)
     return np.array(accepted, dtype=float).reshape(-1, 3)
-NO_BACKGROUND = replace(CFG, background_rate=0.0)
-IDEAL = replace(CFG, detection_efficiency=1.0, background_rate=0.0)
 
 
 class TestCloudSampling:
