@@ -3,7 +3,7 @@
 A register of N polaritons driven symmetrically by the microwave field is a
 pseudo-spin J = N/2. Rotations are evaluated through Wigner reduced rotation
 matrix elements d^j_{m',m}(theta) in the exp(-i*theta*J_y) convention, computed
-from the terminating-hypergeometric closed form. The collective retrieval law
+from the closed-form terminating series. The collective retrieval law
 
     P(theta) = [cos^2(theta/2)]^N = |d^{N/2}_{-N/2,-N/2}(theta)|^2
 
@@ -17,7 +17,6 @@ evaluated in log space, which keeps j up to ~50 finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,33 +28,6 @@ def _twice(value, name):
     if abs(doubled - rounded) > 1e-9:
         raise ValueError(f"{name} must be integer or half-integer, got {value!r}")
     return int(rounded)
-
-
-def hypergeom_2f1_terminating(a, b, c, x):
-    """Gauss hypergeometric series 2F1(a, b; c; x) for terminating cases.
-
-    Either a or b must be a non-positive integer so the series is a finite
-    polynomial; anything else is a domain error. c may not hit zero or a
-    negative integer before the series terminates.
-    """
-    orders = []
-    for value in (a, b):
-        if value <= 0 and abs(value - round(value)) < 1e-12:
-            orders.append(int(-round(value)))
-    if not orders:
-        raise ValueError(
-            f"2F1 series does not terminate for a={a!r}, b={b!r}; "
-            "one of them must be a non-positive integer")
-    k_max = min(orders)
-    total = 1.0
-    term = 1.0
-    for k in range(k_max):
-        denom = c + k
-        if abs(denom) < 1e-12:
-            raise ValueError(f"c={c!r} hits a non-positive integer before termination")
-        term *= (a + k) * (b + k) / (denom * (k + 1)) * x
-        total += term
-    return total
 
 
 def wigner_d(j, m_prime, m, theta):
@@ -134,86 +106,3 @@ def retrieval_probability(n_polaritons, theta):
     theta = np.asarray(theta, dtype=float)
     prob = np.cos(theta / 2.0) ** (2 * int(n_polaritons))
     return prob if prob.ndim else float(prob)
-
-
-@dataclass
-class DickeState:
-    """Symmetric collective state |J, M> superposition.
-
-    amplitudes[i] multiplies |J, M_i> with M_i = -J + i (ascending), so the
-    array has 2J+1 entries. two_j stores 2J exactly.
-    """
-
-    two_j: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.two_j < 0:
-            raise ValueError(f"two_j must be non-negative, got {self.two_j}")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.two_j + 1,):
-            raise ValueError(
-                f"expected {self.two_j + 1} amplitudes for 2J={self.two_j}, "
-                f"got shape {self.amplitudes.shape}")
-        norm = np.sum(np.abs(self.amplitudes) ** 2)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm must be 1, got {norm!r}")
-
-    @property
-    def j(self):
-        return self.two_j / 2.0
-
-    @property
-    def m_values(self):
-        return (np.arange(self.two_j + 1) * 2 - self.two_j) / 2.0
-
-    @classmethod
-    def basis(cls, j, m):
-        tj = _twice(j, "j")
-        tm = _twice(m, "m")
-        amps = np.zeros(tj + 1, dtype=complex)
-        amps[(tm + tj) // 2] = 1.0
-        return cls(tj, amps)
-
-    def amplitude(self, m):
-        tm = _twice(m, "m")
-        return self.amplitudes[(tm + self.two_j) // 2]
-
-
-@dataclass
-class PolaritonRegister:
-    """Bookkeeping for N stored polaritons entering a collective rotation."""
-
-    n_polaritons: int
-    phases: np.ndarray = field(default_factory=lambda: np.zeros(0))  # stored phases (rad)
-    atoms_per_polariton: int = 1
-
-    def __post_init__(self):
-        if not (isinstance(self.n_polaritons, (int, np.integer)) and self.n_polaritons >= 0):
-            raise ValueError(f"n_polaritons must be a non-negative integer, "
-                             f"got {self.n_polaritons!r}")
-        self.phases = np.asarray(self.phases, dtype=float)
-        if self.phases.size == 0:
-            self.phases = np.zeros(int(self.n_polaritons))
-        if self.phases.shape != (int(self.n_polaritons),):
-            raise ValueError("need one stored phase per polariton, got "
-                             f"{self.phases.shape} for N={self.n_polaritons}")
-        if not np.all(np.isfinite(self.phases)):
-            raise ValueError("stored phases must be finite")
-        if self.atoms_per_polariton < 1:
-            raise ValueError(f"atoms_per_polariton must be >= 1, got {self.atoms_per_polariton}")
-
-
-def rotate_register(register, theta):
-    """Rotate the all-s register by theta about J_y; returns the Dicke superposition.
-
-    The register starts in |J, -J> (every polariton in s); the output amplitude
-    on |J, M'> is d^J_{M',-J}(theta). Stored phases contribute only the common
-    factor exp(i*sum(phases)), which cannot affect any retrieval probability.
-    """
-    tj = int(register.n_polaritons)  # 2J = N
-    j = tj / 2.0
-    column = np.array([wigner_d(j, (-tj + 2 * i) / 2.0, -j, theta)
-                       for i in range(tj + 1)], dtype=complex)
-    column = column * np.exp(1j * np.sum(register.phases))
-    return DickeState(tj, column)

@@ -19,10 +19,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import atomic_mass as _ATOMIC_MASS_KG
-from scipy.constants import k as _KB
-
 TWOPI = 2.0 * math.pi
+
+# CODATA 2022 values, as scipy.constants gives them: the atomic mass
+# constant (kg) and the Boltzmann constant (J/K).
+_ATOMIC_MASS_KG = 1.66053906892e-27
+_KB = 1.380649e-23
 
 # Rb-87 atomic mass in unified atomic mass units.
 RB87_MASS_U = 86.909

@@ -16,11 +16,11 @@ Theta = pi.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 #: Per-site level labels in enumeration order (m = 0, -1, 0, +1).
 LEVELS = ("s", "p-", "p0", "p+")
@@ -58,6 +58,12 @@ _HOP_MINUS_PLUS = -(np.kron(_ket_bra(_PM, _S), _ket_bra(_S, _PM))
                     + np.kron(_ket_bra(_S, _PP), _ket_bra(_PP, _S)))
 _HOP_Z = (np.kron(_ket_bra(_S, _P0), _ket_bra(_P0, _S))
           + np.kron(_ket_bra(_P0, _S), _ket_bra(_S, _P0)))
+
+#: Weight of the pi/pi channel in the isotropic pair bracket
+#: V_ij * (mu+_i mu-_j + mu-_i mu+_j - 2 muz_i muz_j); the sigma channels
+#: have weight 1.
+_ZZ_WEIGHT = -2.0
+_EXCHANGE_BRACKET = _HOP_PLUS_MINUS + _HOP_MINUS_PLUS + _ZZ_WEIGHT * _HOP_Z
 
 
 @dataclass(frozen=True)
@@ -124,18 +130,13 @@ def _check_hermitian(matrix, what):
 
 @dataclass(frozen=True, eq=False)
 class SiteHamiltonian:
-    """One assembled Hamiltonian term (or sum of terms) on a SiteBasis.
+    """An assembled Hamiltonian on a SiteBasis.
 
     `matrix` holds E/h in MHz and is validated Hermitian on construction.
-    Terms on the same basis can be added with `+`.
     """
 
     basis: SiteBasis
     matrix: np.ndarray
-    positions: np.ndarray | None = None
-    omega_mu: float = 0.0
-    c3: float = 0.0
-    coupling_graph: str = "all_pairs"
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix)
@@ -144,22 +145,6 @@ class SiteHamiltonian:
                 f"matrix shape {matrix.shape} does not match basis dimension {self.basis.dim}")
         _check_hermitian(matrix, "site Hamiltonian")
         object.__setattr__(self, "matrix", matrix)
-
-    def __add__(self, other):
-        if not isinstance(other, SiteHamiltonian):
-            return NotImplemented
-        if other.basis != self.basis:
-            raise ValueError("cannot add Hamiltonian terms built on different bases")
-        positions = self.positions if self.positions is not None else other.positions
-        graph = self.coupling_graph if self.positions is not None else other.coupling_graph
-        return SiteHamiltonian(
-            basis=self.basis,
-            matrix=self.matrix + other.matrix,
-            positions=positions,
-            omega_mu=self.omega_mu + other.omega_mu,
-            c3=self.c3 + other.c3,
-            coupling_graph=graph,
-        )
 
 
 def _embed(op, site, n_sites):
@@ -202,51 +187,19 @@ def build_drive_hamiltonian(basis, omega_mu):
     matrix = np.zeros((basis.dim, basis.dim))
     for site in range(basis.n_sites):
         matrix += 0.5 * omega_mu * _embed(MU_Z, site, basis.n_sites)
-    return SiteHamiltonian(basis=basis, matrix=matrix, omega_mu=float(omega_mu))
+    return SiteHamiltonian(basis=basis, matrix=matrix)
 
 
-@dataclass(frozen=True)
-class ChannelWeights:
-    """Relative weights of the three exchange channels in the pair bracket
+def build_dd_hamiltonian(basis, positions, c3):
+    """Resonant dipole-dipole exchange between every pair of sites.
 
-        V_ij * (w+ mu+_i mu-_j + w- mu-_i mu+_j + wz muz_i muz_j).
-
-    Defaults are the isotropic convention (1, 1, -2).  plus_minus and
-    minus_plus must match for the assembled matrix to be Hermitian; they are
-    kept separate only to mirror the two ordered terms.
-    """
-
-    plus_minus: float = 1.0
-    minus_plus: float = 1.0
-    zz: float = -2.0
-
-    def __post_init__(self):
-        for name in ("plus_minus", "minus_plus", "zz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"channel weight {name} must be finite")
-
-
-def _coupled_pairs(n_sites, coupling_graph):
-    if coupling_graph == "all_pairs":
-        return [(i, j) for i in range(n_sites) for j in range(i + 1, n_sites)]
-    if coupling_graph == "nearest_neighbor":
-        # consecutive sites in listed order
-        return [(i, i + 1) for i in range(n_sites - 1)]
-    raise ValueError(
-        f"coupling_graph must be 'all_pairs' or 'nearest_neighbor', got {coupling_graph!r}")
-
-
-def build_dd_hamiltonian(basis, positions, c3, coupling_graph="all_pairs",
-                         weights=ChannelWeights()):
-    """Resonant dipole-dipole exchange between coupled sites.
-
-    Every coupled pair (i, j) contributes V_ij times the weighted sum of the
+    Every pair (i, j) contributes V_ij times the isotropic sum of the
     excitation-conserving channel products (sigma+/sigma-, sigma-/sigma+, and
     pi/pi), with V_ij = c3 * 1e3 / R_ij^3 in MHz (c3 signed, GHz um^3; R_ij
-    um).  With the default weights the pi channel hops a p0 excitation
-    between sites with amplitude -2 V_ij and the sigma channels hop p+ or p-
-    with amplitude -V_ij, so a state with every site in s is stationary until
-    the microwave drive creates p amplitude.
+    um).  The pi channel hops a p0 excitation between sites with amplitude
+    -2 V_ij and the sigma channels hop p+ or p- with amplitude -V_ij, so a
+    state with every site in s is stationary until the microwave drive
+    creates p amplitude.
     """
     if not math.isfinite(c3):
         raise ValueError(f"c3 must be finite, got {c3!r}")
@@ -257,25 +210,21 @@ def build_dd_hamiltonian(basis, positions, c3, coupling_graph="all_pairs",
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
 
-    bracket = (weights.plus_minus * _HOP_PLUS_MINUS
-               + weights.minus_plus * _HOP_MINUS_PLUS
-               + weights.zz * _HOP_Z)
     matrix = np.zeros((basis.dim, basis.dim))
-    for i, j in _coupled_pairs(basis.n_sites, coupling_graph):
+    for i, j in itertools.combinations(range(basis.n_sites), 2):
         r_ij = float(np.linalg.norm(positions[i] - positions[j]))
         if r_ij <= 0.0:
             raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
         v_ij = c3 * 1e3 / r_ij ** 3
-        matrix += v_ij * _embed_pair(bracket, i, j, basis.n_sites)
-    return SiteHamiltonian(basis=basis, matrix=matrix, positions=positions,
-                           c3=float(c3), coupling_graph=coupling_graph)
+        matrix += v_ij * _embed_pair(_EXCHANGE_BRACKET, i, j, basis.n_sites)
+    return SiteHamiltonian(basis=basis, matrix=matrix)
 
 
-def build_hamiltonian(basis, positions, omega_mu, c3, coupling_graph="all_pairs",
-                      weights=ChannelWeights()):
+def build_hamiltonian(basis, positions, omega_mu, c3):
     """Drive plus dipole-dipole exchange in one call."""
-    return (build_drive_hamiltonian(basis, omega_mu)
-            + build_dd_hamiltonian(basis, positions, c3, coupling_graph, weights))
+    drive = build_drive_hamiltonian(basis, omega_mu).matrix
+    exchange = build_dd_hamiltonian(basis, positions, c3).matrix
+    return SiteHamiltonian(basis=basis, matrix=drive + exchange)
 
 
 def _distances(diffs):
@@ -289,21 +238,22 @@ def _distances(diffs):
 
 
 @functools.cache
-def _pi_sector_tables(n_sites, coupling_graph):
+def _pi_sector_tables(n_sites):
     """Index tables of the pi-sector Hamiltonian of n_sites sites, read-only.
 
-    Returns (pairs, drive, exchange, pair_of_entry): the coupled site pairs
+    Returns (pairs, drive, exchange, pair_of_entry): every site pair i < j
     as a (p, 2) array, the flat indices (row * dim + column) of the drive
     entries, those of the exchange entries, and the pair each exchange entry
     belongs to.  Every off-diagonal entry belongs to at most one of them.
     Only index arrays are kept; callers are validated to 2^n <= MAX_DIMENSION,
-    which bounds the cache at 12 sizes per coupling graph.
+    which bounds the cache at 12 sizes.
     """
     dim = 2 ** n_sites
     idx = np.arange(dim)
     bits = 1 << (n_sites - 1 - np.arange(n_sites))
     drive = ((idx ^ bits[:, None]) * dim + idx).ravel()
-    pairs = np.array(_coupled_pairs(n_sites, coupling_graph), dtype=np.intp).reshape(-1, 2)
+    pairs = np.array(list(itertools.combinations(range(n_sites), 2)),
+                     dtype=np.intp).reshape(-1, 2)
     exchange, pair_of_entry = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for pair, (i, j) in enumerate(pairs):
         # flip-flop |s p0> <-> |p0 s> from the pi channel; sigma channels act
@@ -326,12 +276,11 @@ def _pi_sector_drive(n_sites):
     """
     dim = 2 ** n_sites
     matrix = np.zeros(dim * dim)
-    matrix[_pi_sector_tables(n_sites, "all_pairs")[1]] = 0.5
+    matrix[_pi_sector_tables(n_sites)[1]] = 0.5
     return matrix.reshape(dim, dim)
 
 
-def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pairs",
-                                weights=ChannelWeights()):
+def build_pi_sector_hamiltonian(positions, omega_mu, c3):
     """Drive plus exchange restricted to the {s, p0} product subspace.
 
     Starting from the all-s register, the pi-polarized drive only creates p0
@@ -357,115 +306,18 @@ def build_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pai
     if dim > MAX_DIMENSION:
         raise ValueError(f"dimension {dim} exceeds the dense-solver cap {MAX_DIMENSION}")
 
-    pairs, drive, exchange, pair_of_entry = _pi_sector_tables(n_sites, coupling_graph)
+    pairs, drive, exchange, pair_of_entry = _pi_sector_tables(n_sites)
     distances = _distances(positions[pairs[:, 0]] - positions[pairs[:, 1]])
     coincident = np.flatnonzero(distances <= 0.0)
     if coincident.size:
         i, j = pairs[coincident[0]]
         raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
     # Python floats: numpy's vectorized power may round r^3 differently
-    couplings = np.array([weights.zz * c3 * 1e3 / r_ij ** 3 for r_ij in distances.tolist()])
+    couplings = np.array([_ZZ_WEIGHT * c3 * 1e3 / r_ij ** 3 for r_ij in distances.tolist()])
     matrix = np.zeros(dim * dim)
     matrix[drive] = omega_mu * 0.5
     matrix[exchange] += couplings[pair_of_entry]
     return matrix.reshape(dim, dim)
-
-
-# --------------------------------------------------------------------------
-# Jaynes-Cummings chain (sanity-scale quantized-field model)
-
-@dataclass(frozen=True, eq=False)
-class JcChain:
-    """Chain of two-level emitters, each with its own truncated cavity mode.
-
-    Per-site space is spin (g, e) tensor Fock (0..fock_cutoff), spin-major;
-    sites are enumerated site-major.  All couplings in MHz.
-    """
-
-    sites: int
-    fock_cutoff: int
-    g: float
-    f: float
-    v_dd: float
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix)
-        if matrix.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dimension {self.dim}")
-        _check_hermitian(matrix, "JC chain Hamiltonian")
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self):
-        return (2 * (self.fock_cutoff + 1)) ** self.sites
-
-    def state_index(self, spins, fock_numbers):
-        """Index of the product state |spins> tensor |fock_numbers> (0=g, 1=e)."""
-        if len(spins) != self.sites or len(fock_numbers) != self.sites:
-            raise ValueError(f"need {self.sites} spin and Fock labels")
-        n_fock = self.fock_cutoff + 1
-        index = 0
-        for spin, number in zip(spins, fock_numbers):
-            if spin not in (0, 1):
-                raise ValueError(f"spin labels are 0 (g) or 1 (e), got {spin!r}")
-            if not 0 <= number <= self.fock_cutoff:
-                raise ValueError(f"Fock number {number!r} outside cutoff {self.fock_cutoff}")
-            index = index * 2 * n_fock + spin * n_fock + number
-        return index
-
-    def excitation_operator(self):
-        """Total excitation number sum_i (sigma+_i sigma-_i + a_i^dag a_i)."""
-        n_fock = self.fock_cutoff + 1
-        number = np.kron(np.diag([0.0, 1.0]), np.eye(n_fock)) \
-            + np.kron(np.eye(2), np.diag(np.arange(n_fock, dtype=float)))
-        total = np.zeros((self.dim, self.dim))
-        for site in range(self.sites):
-            total += _embed_general(number, site, self.sites)
-        return total
-
-
-def _embed_general(op, site, n_sites):
-    out = np.array([[1.0]])
-    eye = np.eye(op.shape[0])
-    for i in range(n_sites):
-        out = np.kron(out, op if i == site else eye)
-    return out
-
-
-def build_jc_chain(sites, fock_cutoff, g, f, v_dd):
-    """Jaynes-Cummings chain H = g sum_i (sigma+_i a_i + sigma-_i a_i^dag)
-    + v_dd sum_<i,i+1> (sigma+_i sigma-_j + sigma-_i sigma+_j) + f sum_i (a_i + a_i^dag).
-
-    The spin exchange carries its Hermitian conjugate so the assembled matrix
-    is self-adjoint.  Sanity-scale only: sites <= 3, fock_cutoff <= 3.
-    """
-    if not (isinstance(sites, int) and 1 <= sites <= 3):
-        raise ValueError(f"sites must be an integer in 1..3, got {sites!r}")
-    if not (isinstance(fock_cutoff, int) and 0 <= fock_cutoff <= 3):
-        raise ValueError(f"fock_cutoff must be an integer in 0..3, got {fock_cutoff!r}")
-    for name, value in (("g", g), ("f", f), ("v_dd", v_dd)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    n_fock = fock_cutoff + 1
-    dim = (2 * n_fock) ** sites
-    if dim > 10_000:
-        raise ValueError(f"dimension {dim} exceeds the sanity-scale cap 10000")
-
-    a = np.diag(np.sqrt(np.arange(1.0, n_fock)), k=1)
-    sigma_plus = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g| with (g, e) ordering
-    jc_site = g * (np.kron(sigma_plus, a) + np.kron(sigma_plus.T, a.T))
-    drive_site = f * np.kron(np.eye(2), a + a.T)
-    sp_full = np.kron(sigma_plus, np.eye(n_fock))
-
-    matrix = np.zeros((dim, dim))
-    for site in range(sites):
-        matrix += _embed_general(jc_site + drive_site, site, sites)
-    for i in range(sites - 1):
-        hop = _embed_general(sp_full, i, sites) @ _embed_general(sp_full.T, i + 1, sites)
-        matrix += v_dd * (hop + hop.T)
-    return JcChain(sites=sites, fock_cutoff=fock_cutoff, g=float(g), f=float(f),
-                   v_dd=float(v_dd), matrix=matrix)
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +336,7 @@ def _as_matrix(h):
 def eigenspectrum(h, return_vectors=False):
     """Ascending real eigenvalues of a Hermitian Hamiltonian (optionally vectors).
 
-    Accepts a SiteHamiltonian, a JcChain, or a raw Hermitian matrix.  When
+    Accepts a SiteHamiltonian or a raw Hermitian matrix.  When
     vectors are requested, each pair satisfies ||H v - w v|| <= 1e-9 ||H||.
     A matrix of at least 2048 entries that is exactly centrosymmetric
     (P H P = H for the reversal P, the global flip of a pi-sector register)
@@ -604,9 +456,10 @@ class EigenscanResult:
     c3: float
 
 
-def pair_eigenscan(omega_mu, c3, r_min, r_max, steps, coupling_graph="all_pairs",
-                   weights=ChannelWeights()):
+def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
     """Eigenvalue branches of the two-site Hamiltonian over R in [r_min, r_max] um."""
+    from scipy.optimize import linear_sum_assignment
+
     if not (isinstance(steps, int) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not 0.0 < r_min < r_max:
@@ -621,7 +474,7 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps, coupling_graph="all_pairs"
     tracked_values = None
     for k, r in enumerate(radii):
         positions = [[0.0, 0.0, 0.0], [0.0, 0.0, float(r)]]
-        dd = build_dd_hamiltonian(basis, positions, c3, coupling_graph, weights).matrix
+        dd = build_dd_hamiltonian(basis, positions, c3).matrix
         w, v = eigenspectrum(drive + dd, return_vectors=True)
         levels[k] = w
         if tracked_vectors is None:
@@ -661,13 +514,10 @@ def count_branch_crossings(result, r_threshold=None):
     return crossings
 
 
-def time_evolve(h, psi0, t, eigensystem=None):
-    """psi(t) = exp(-2*pi*i*H*t) psi0, H in MHz and t in us, by spectral decomposition.
-
-    `t` may be a scalar (returns one state) or a 1-D array (returns one row
-    per time).  Pass a precomputed (eigenvalues, eigenvectors) pair to
-    amortize the diagonalization over repeated calls.
-    """
+def time_evolve(h, psi0, t):
+    """psi(t) = exp(-2*pi*i*H*t) psi0, H in MHz and a scalar t in us, by spectral decomposition."""
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar, got shape {np.shape(t)}")
     matrix = _as_matrix(h)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (matrix.shape[0],):
@@ -675,18 +525,9 @@ def time_evolve(h, psi0, t, eigensystem=None):
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be normalized, got ||psi0|| = {norm:.6g}")
-    if eigensystem is None:
-        w, v = eigenspectrum(matrix, return_vectors=True)
-    else:
-        w, v = eigensystem
+    w, v = eigenspectrum(matrix, return_vectors=True)
     coefficients = v.conj().T @ psi0
-    t_array = np.asarray(t, dtype=float)
-    if t_array.ndim == 0:
-        return v @ (np.exp(-2j * np.pi * w * float(t_array)) * coefficients)
-    if t_array.ndim != 1:
-        raise ValueError(f"t must be a scalar or 1-D array, got shape {t_array.shape}")
-    phases = np.exp(-2j * np.pi * np.outer(w, t_array))
-    return (v @ (phases * coefficients[:, None])).T
+    return v @ (np.exp(-2j * np.pi * w * float(t)) * coefficients)
 
 
 def retrieval_overlap(psi, basis):

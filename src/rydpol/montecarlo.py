@@ -68,7 +68,6 @@ class CloudSample:
     """Candidate excitation positions drawn from the trapped-cloud density."""
 
     positions: np.ndarray  # (count, 3) um
-    rng_seed: int
 
     def __post_init__(self):
         positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -90,7 +89,7 @@ def sample_positions(config, count, seed, index=0):
     rng = philox_stream(seed, _STAGE_CLOUD, index)
     scale = np.array([config.cloud_wr, config.cloud_wr, config.cloud_wz])
     positions = rng.normal(0.0, 1.0, size=(int(count), 3)) * scale
-    return CloudSample(positions=positions, rng_seed=int(seed))
+    return CloudSample(positions=positions)
 
 
 @dataclass(frozen=True)
@@ -293,10 +292,6 @@ class ClickRecord:
             raise ValueError(f"window {self.window} must lie inside one period")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "detectors", detectors)
-
-    @property
-    def events(self):
-        return list(zip(self.times.tolist(), self.detectors.tolist()))
 
 
 def generate_click_stream(config, per_trial_photon_counts, seed):
@@ -589,6 +584,9 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
             f"pulse_duration must fit in the storage interval [0, {config.storage_time}]")
     if not isinstance(trials, (int, np.integer)) or trials < 2:
         raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    if not isinstance(geometry_samples, (int, np.integer)) or geometry_samples < 1:
+        raise ValueError(
+            f"geometry_samples must be a positive integer, got {geometry_samples!r}")
     geometries = _scan_geometries(config, pair_coeffs, int(geometry_samples), seed,
                                   n_polaritons=n_polaritons)
     n_per_geometry = np.array([g.n_polaritons for g in geometries], dtype=np.int64)

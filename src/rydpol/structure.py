@@ -16,14 +16,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import physical_constants
+
+from .config import RB87_MASS_U
 
 # numpy 2.0 renamed trapz to trapezoid and numpy 2.4 removed trapz; touch the
 # old name only where the new one is missing (numpy < 2.0).
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-RYDBERG_INF_GHZ = physical_constants["Rydberg constant times c in Hz"][0] / 1e9
-_ELECTRON_MASS_U = physical_constants["electron mass in u"][0]
+# CODATA 2022 values, as scipy.constants gives them: the Rydberg constant
+# times c (Hz) and the electron mass (u).
+RYDBERG_INF_GHZ = 3289841960250000.0 / 1e9
+_ELECTRON_MASS_U = 0.0005485799090441
 
 # Rydberg-Ritz quantum defects (delta0, delta2) for Rb, keyed by (l, 2j).
 # Millimetre-wave spectroscopy values; the s/p channels are the ones the
@@ -37,8 +40,6 @@ RB87_DEFECTS = {
     (3, 5): (0.0165192, -0.085),
     (3, 7): (0.0165437, -0.086),
 }
-
-RB87_MASS_U = 86.909
 
 
 def _reduced_rydberg_ghz(mass_u):

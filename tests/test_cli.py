@@ -53,6 +53,14 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_bad_geometry_samples_is_computation_error(self, tmp_path, capsys, samples):
+        code = run_cli("rabi-scan", "--geometry-samples", samples, "--points", 2,
+                       "--trials", 10, "--threads", 1, "--output-dir", tmp_path)
+        assert code == 1
+        assert "rydpol: error: geometry_samples" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_input_file_is_computation_error(self, tmp_path, capsys):
         code = run_cli("fit", "--model", "lorentzian",
                        "--input", tmp_path / "nope.csv",

@@ -1,8 +1,9 @@
-"""Collective-rotation module: Wigner d elements, retrieval law, register rotation.
+"""Collective-rotation module: Wigner d elements and the retrieval law.
 
 The independent oracle for rotation matrix elements is brute-force matrix
 exponentiation of the J_y generator (scipy.linalg.expm), built here from
-ladder operators with no shared code paths with the implementation.
+ladder operators with no shared code paths with the implementation; the
+literal closed form takes its 2F1 from scipy.special.
 """
 
 import math
@@ -14,15 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import hyp2f1
 
-from rydpol.collective import (
-    DickeState,
-    PolaritonRegister,
-    hypergeom_2f1_terminating,
-    retrieval_probability,
-    rotate_register,
-    wigner_d,
-    wigner_d_matrix,
-)
+from rydpol.collective import retrieval_probability, wigner_d, wigner_d_matrix
 
 
 def expm_d_matrix(two_j, theta):
@@ -42,28 +35,6 @@ def expm_d_matrix(two_j, theta):
 
 
 THETAS = [0.0, 0.3, math.pi / 2, 1.9, math.pi, 4.0, 2 * math.pi, 7.5]
-
-
-class TestTerminatingHypergeometric:
-    def test_reference_value(self):
-        # 2F1(-2, 1; 1; -1) = 1 + 2 + 1
-        assert hypergeom_2f1_terminating(-2, 1, 1, -1) == pytest.approx(4.0, rel=1e-14)
-
-    @given(k=st.integers(0, 12), b=st.floats(-8, 8), c=st.floats(0.5, 6),
-           x=st.floats(-3, 3))
-    @settings(max_examples=150)
-    def test_matches_scipy_on_terminating_cases(self, k, b, c, x):
-        ours = hypergeom_2f1_terminating(-k, b, c, x)
-        ref = hyp2f1(-k, b, c, x)
-        assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
-
-    def test_non_terminating_is_domain_error(self):
-        with pytest.raises(ValueError, match="terminate"):
-            hypergeom_2f1_terminating(0.5, 1.3, 2.0, -0.4)
-
-    def test_bad_c_is_domain_error(self):
-        with pytest.raises(ValueError, match="c="):
-            hypergeom_2f1_terminating(-4, 2.0, -1.0, 0.3)
 
 
 class TestWignerD:
@@ -92,8 +63,7 @@ class TestWignerD:
             half = theta / 2.0
             closed = (pref * math.cos(half) ** (two_j + int(m - mp))
                       * math.sin(half) ** mu
-                      * hypergeom_2f1_terminating(mp - j, -m - j, mu + 1,
-                                                  -math.tan(half) ** 2))
+                      * hyp2f1(mp - j, -m - j, mu + 1, -math.tan(half) ** 2))
             assert wigner_d(j, mp, m, theta) == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
     def test_spin_half_diagonal(self):
@@ -199,68 +169,3 @@ class TestRetrievalLaw:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             retrieval_probability(-1, 0.3)
-
-
-class TestRegisterRotation:
-    def test_identity_rotation(self):
-        reg = PolaritonRegister(n_polaritons=3)
-        state = rotate_register(reg, 0.0)
-        assert abs(state.amplitude(-1.5)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_full_flip(self):
-        reg = PolaritonRegister(n_polaritons=4)
-        state = rotate_register(reg, math.pi)
-        assert abs(state.amplitude(2.0)) == pytest.approx(1.0, rel=1e-12)
-
-    @given(n=st.integers(0, 10), theta=st.floats(0, 4 * math.pi))
-    @settings(max_examples=100)
-    def test_norm_preserved(self, n, theta):
-        state = rotate_register(PolaritonRegister(n_polaritons=n), theta)
-        assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_amplitude_on_lowest_matches_retrieval_law(self):
-        for n in (1, 2, 3, 5):
-            for theta in (0.4, 1.7, 2.9):
-                state = rotate_register(PolaritonRegister(n_polaritons=n), theta)
-                assert abs(state.amplitude(-n / 2.0)) ** 2 == pytest.approx(
-                    retrieval_probability(n, theta), abs=1e-12)
-
-    def test_stored_phases_are_global(self):
-        reg = PolaritonRegister(n_polaritons=2, phases=np.array([0.3, 1.1]))
-        state = rotate_register(reg, 0.9)
-        ref = rotate_register(PolaritonRegister(n_polaritons=2), 0.9)
-        ratio = state.amplitudes[np.abs(ref.amplitudes) > 1e-12] \
-            / ref.amplitudes[np.abs(ref.amplitudes) > 1e-12]
-        assert np.allclose(ratio, np.exp(1.4j), atol=1e-12)
-
-    def test_zero_polariton_register(self):
-        state = rotate_register(PolaritonRegister(n_polaritons=0), 1.3)
-        assert state.amplitudes.shape == (1,)
-        assert abs(state.amplitudes[0]) == pytest.approx(1.0)
-
-    def test_register_validation(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            PolaritonRegister(n_polaritons=-1)
-        with pytest.raises(ValueError, match="phase"):
-            PolaritonRegister(n_polaritons=3, phases=np.array([0.1, 0.2]))
-        with pytest.raises(ValueError, match="finite"):
-            PolaritonRegister(n_polaritons=1, phases=np.array([math.nan]))
-
-
-class TestDickeState:
-    def test_basis_constructor(self):
-        state = DickeState.basis(1.5, 0.5)
-        assert state.amplitude(0.5) == 1.0
-        assert state.amplitude(-0.5) == 0.0
-
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError, match="norm"):
-            DickeState(2, np.array([1.0, 1.0, 0.0]))
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            DickeState(2, np.array([1.0, 0.0]))
-
-    def test_m_values(self):
-        state = DickeState.basis(1, -1)
-        assert np.allclose(state.m_values, [-1.0, 0.0, 1.0])

@@ -25,7 +25,6 @@ from rydpol.interactions import (
     MU_MINUS,
     MU_PLUS,
     MU_Z,
-    ChannelWeights,
     SiteBasis,
     _centrosymmetric,
     _checked_eigh,
@@ -34,7 +33,6 @@ from rydpol.interactions import (
     build_dd_hamiltonian,
     build_drive_hamiltonian,
     build_hamiltonian,
-    build_jc_chain,
     build_pi_sector_hamiltonian,
     count_branch_crossings,
     eigenspectrum,
@@ -61,31 +59,30 @@ def kron_embed(ops):
     return out
 
 
-def oracle_dd_matrix(positions, c3, weights=(1.0, 1.0, -2.0)):
+def oracle_dd_matrix(positions, c3):
     """All-pairs exchange Hamiltonian assembled the slow, obvious way."""
-    w_pm, w_mp, w_zz = weights
     n = len(positions)
     eye = np.eye(4)
     hops = []
     # sigma+/sigma- product, co-rotating part: p+ and p- excitation hopping
-    hops.append((w_pm, ket_bra("p+", "s"), ket_bra("s", "p+")))
-    hops.append((w_pm, ket_bra("s", "p-"), ket_bra("p-", "s")))
-    hops.append((w_mp, ket_bra("p-", "s"), ket_bra("s", "p-")))
-    hops.append((w_mp, ket_bra("s", "p+"), ket_bra("p+", "s")))
+    hops.append((ket_bra("p+", "s"), ket_bra("s", "p+")))
+    hops.append((ket_bra("s", "p-"), ket_bra("p-", "s")))
+    hops.append((ket_bra("p-", "s"), ket_bra("s", "p-")))
+    hops.append((ket_bra("s", "p+"), ket_bra("p+", "s")))
     matrix = np.zeros((4 ** n, 4 ** n))
     for i in range(n):
         for j in range(i + 1, n):
             r = np.linalg.norm(np.asarray(positions[i]) - np.asarray(positions[j]))
             v = c3 * 1e3 / r ** 3
-            for weight, op_i, op_j in hops:
+            for op_i, op_j in hops:
                 factors = [eye] * n
                 factors[i], factors[j] = op_i, op_j
-                matrix -= weight * v * kron_embed(factors)
+                matrix -= v * kron_embed(factors)
             for op_i, op_j in [(ket_bra("s", "p0"), ket_bra("p0", "s")),
                                (ket_bra("p0", "s"), ket_bra("s", "p0"))]:
                 factors = [eye] * n
                 factors[i], factors[j] = op_i, op_j
-                matrix += w_zz * v * kron_embed(factors)
+                matrix -= 2.0 * v * kron_embed(factors)
     return matrix
 
 
@@ -213,13 +210,6 @@ class TestExchangeHamiltonian:
         h = build_dd_hamiltonian(SiteBasis(3), pos, C3)
         assert np.allclose(h.matrix, oracle_dd_matrix(pos, C3), atol=1e-12)
 
-    def test_custom_weights_match_kron_oracle(self):
-        pos = [[0.0, 0.0, 0.0], [0.0, 3.0, 9.0]]
-        weights = ChannelWeights(plus_minus=0.4, minus_plus=0.4, zz=1.7)
-        h = build_dd_hamiltonian(SiteBasis(2), pos, C3, weights=weights)
-        assert np.allclose(h.matrix, oracle_dd_matrix(pos, C3, (0.4, 0.4, 1.7)),
-                           atol=1e-12)
-
     def test_total_m_conserved(self):
         basis = SiteBasis(3)
         h = build_hamiltonian(basis, [[0, 0, 0], [1, 1, 8], [2, 0, 14]], 11.0, C3)
@@ -236,21 +226,6 @@ class TestExchangeHamiltonian:
     def test_far_field_entries_negligible(self):
         h = build_dd_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 1e4]], C3)
         assert np.abs(h.matrix).max() < 1e-8 * abs(C3) * 1e3
-
-    def test_nearest_neighbor_graph_drops_far_pair(self):
-        basis = SiteBasis(3)
-        pos = [[0, 0, 0], [0, 0, 8.0], [0, 0, 16.0]]
-        h_nn = build_dd_hamiltonian(basis, pos, C3, coupling_graph="nearest_neighbor")
-        h_01 = build_dd_hamiltonian(SiteBasis(2), pos[:2], C3).matrix
-        # 0-2 coupling absent: the nn matrix equals embedding of the two
-        # consecutive pair terms only.
-        oracle = np.kron(h_01, np.eye(4)) + np.kron(np.eye(4), h_01)
-        assert np.allclose(h_nn.matrix, oracle, atol=1e-12)
-
-    def test_unknown_graph_rejected(self):
-        with pytest.raises(ValueError):
-            build_dd_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 8]], C3,
-                                 coupling_graph="ring")
 
     def test_coincident_sites_rejected(self):
         with pytest.raises(ValueError):
@@ -351,47 +326,6 @@ class TestEigenspectrum:
             _checked_eigh(stack)
 
 
-class TestJcChain:
-    def test_dimensions(self):
-        jc = build_jc_chain(sites=2, fock_cutoff=2, g=1.0, f=0.0, v_dd=0.5)
-        assert jc.dim == 36
-        assert jc.matrix.shape == (36, 36)
-
-    def test_vacuum_rabi_doublet(self):
-        jc = build_jc_chain(sites=1, fock_cutoff=1, g=5.0, f=0.0, v_dd=0.0)
-        w = eigenspectrum(jc)
-        assert np.allclose(w, [-5.0, 0.0, 0.0, 5.0])
-
-    def test_spin_hop_doublet(self):
-        jc = build_jc_chain(sites=2, fock_cutoff=1, g=0.0, f=0.0, v_dd=3.0)
-        w = eigenspectrum(jc)
-        assert math.isclose(w.min(), -3.0, abs_tol=1e-12)
-        assert math.isclose(w.max(), 3.0, abs_tol=1e-12)
-
-    def test_excitation_number_conserved_without_field_drive(self):
-        jc = build_jc_chain(sites=2, fock_cutoff=2, g=2.0, f=0.0, v_dd=1.0)
-        n_op = jc.excitation_operator()
-        assert np.abs(jc.matrix @ n_op - n_op @ jc.matrix).max() < 1e-12
-
-    def test_field_drive_breaks_excitation_number(self):
-        jc = build_jc_chain(sites=1, fock_cutoff=2, g=0.0, f=1.5, v_dd=0.0)
-        n_op = jc.excitation_operator()
-        assert np.abs(jc.matrix @ n_op - n_op @ jc.matrix).max() > 0.1
-
-    def test_state_index(self):
-        jc = build_jc_chain(sites=2, fock_cutoff=1, g=1.0, f=0.0, v_dd=0.0)
-        assert jc.state_index((0, 0), (0, 0)) == 0
-        assert jc.state_index((1, 0), (1, 0)) == 3 * 4 + 0 * 1
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(sites=0, fock_cutoff=1), dict(sites=4, fock_cutoff=1),
-        dict(sites=1, fock_cutoff=-1), dict(sites=1, fock_cutoff=4),
-    ])
-    def test_range_caps(self, kwargs):
-        with pytest.raises(ValueError):
-            build_jc_chain(g=1.0, f=0.0, v_dd=0.0, **kwargs)
-
-
 class TestTimeEvolve:
     def test_pi_pulse_transfers_s_to_p0(self):
         basis = SiteBasis(1)
@@ -420,28 +354,15 @@ class TestTimeEvolve:
         product = np.kron(np.kron(psi1, psi1), psi1)
         assert np.abs(psi - product).max() < 1e-10
 
-    def test_time_array_returns_rows(self):
-        h = build_drive_hamiltonian(SiteBasis(1), 10.0)
-        psi0 = np.array([1.0, 0, 0, 0])
-        times = np.linspace(0.0, 0.2, 7)
-        out = time_evolve(h, psi0, times)
-        assert out.shape == (7, 4)
-        assert np.allclose(out[0], psi0)
-
-    def test_eigensystem_reuse_matches_direct(self):
-        basis = SiteBasis(2)
-        h = build_hamiltonian(basis, [[0, 0, 0], [0, 0, 8]], 21.0, C3)
-        psi0 = np.zeros(16)
-        psi0[0] = 1.0
-        eig = eigenspectrum(h, return_vectors=True)
-        a = time_evolve(h, psi0, 0.31)
-        b = time_evolve(h, psi0, 0.31, eigensystem=eig)
-        assert np.abs(a - b).max() < 1e-12
-
     def test_unnormalized_state_rejected(self):
         h = build_drive_hamiltonian(SiteBasis(1), 10.0)
         with pytest.raises(ValueError):
             time_evolve(h, np.array([1.0, 1.0, 0, 0]), 0.1)
+
+    def test_array_time_rejected(self):
+        h = build_drive_hamiltonian(SiteBasis(1), 10.0)
+        with pytest.raises(ValueError, match="scalar"):
+            time_evolve(h, np.array([1.0, 0, 0, 0]), np.linspace(0.0, 0.2, 7))
 
     @given(omega=st.floats(0.5, 200), t=st.floats(0, 2.0), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
@@ -566,9 +487,8 @@ class TestPiSectorReduction:
             build_pi_sector_hamiltonian(pos, 10.0, C3)
 
 
-def loop_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pairs",
-                               weights=ChannelWeights()):
-    """Reference pi-sector builder: one pass per coupled pair, as a loop."""
+def loop_pi_sector_hamiltonian(positions, omega_mu, c3):
+    """Reference pi-sector builder: one pass per site pair, as a loop."""
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
     dim = 2 ** n
@@ -577,16 +497,12 @@ def loop_pi_sector_hamiltonian(positions, omega_mu, c3, coupling_graph="all_pair
     for i in range(n):
         matrix[idx ^ (1 << (n - 1 - i)), idx] = 0.5
     matrix = omega_mu * matrix
-    if coupling_graph == "all_pairs":
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    for i, j in pairs:
+    for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)]:
         r_ij = float(np.linalg.norm(positions[i] - positions[j]))
         bit_i, bit_j = 1 << (n - 1 - i), 1 << (n - 1 - j)
         sp = idx[(idx & bit_i == 0) & (idx & bit_j != 0)]
-        matrix[sp ^ bit_i ^ bit_j, sp] += weights.zz * c3 * 1e3 / r_ij ** 3
-        matrix[sp, sp ^ bit_i ^ bit_j] += weights.zz * c3 * 1e3 / r_ij ** 3
+        matrix[sp ^ bit_i ^ bit_j, sp] += -2.0 * c3 * 1e3 / r_ij ** 3
+        matrix[sp, sp ^ bit_i ^ bit_j] += -2.0 * c3 * 1e3 / r_ij ** 3
     return matrix
 
 
@@ -608,16 +524,13 @@ def centrosymmetric_stack(count, dim, seed, complex_valued):
 
 class TestPiSectorTables:
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1),
-           st.sampled_from(["all_pairs", "nearest_neighbor"]),
            st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
-           st.sampled_from([C3, 0.0, 3.7]),
-           st.one_of(st.just(ChannelWeights()),
-                     st.builds(ChannelWeights, zz=st.floats(-5.0, 5.0))))
+           st.sampled_from([C3, 0.0, 3.7]))
     @settings(max_examples=80, deadline=None)
-    def test_equals_loop_builder_bit_for_bit(self, n, seed, graph, omega, c3, weights):
+    def test_equals_loop_builder_bit_for_bit(self, n, seed, omega, c3):
         pos = random_register(n, seed)
-        built = build_pi_sector_hamiltonian(pos, omega, c3, graph, weights)
-        reference = loop_pi_sector_hamiltonian(pos, omega, c3, graph, weights)
+        built = build_pi_sector_hamiltonian(pos, omega, c3)
+        reference = loop_pi_sector_hamiltonian(pos, omega, c3)
         assert built.dtype == reference.dtype and built.shape == reference.shape
         assert built.tobytes() == reference.tobytes()
 
@@ -635,16 +548,15 @@ class TestPiSectorTables:
 
     def test_cache_holds_read_only_index_tables_only(self):
         for n in range(1, 11):
-            for graph in ("all_pairs", "nearest_neighbor"):
-                build_pi_sector_hamiltonian(random_register(n, n), 1.0, C3, graph)
-                pairs, *flat = _pi_sector_tables(n, graph)
-                assert pairs.shape == (n * (n - 1) // 2 if graph == "all_pairs" else n - 1, 2)
-                for table in (pairs, *flat):
-                    assert np.issubdtype(table.dtype, np.integer)
-                    assert not table.flags.writeable
-                for table in flat:
-                    assert table.ndim == 1 and table.size < 4 ** n
-        assert _pi_sector_tables.cache_info().currsize <= 2 * 12
+            build_pi_sector_hamiltonian(random_register(n, n), 1.0, C3)
+            pairs, *flat = _pi_sector_tables(n)
+            assert pairs.shape == (n * (n - 1) // 2, 2)
+            for table in (pairs, *flat):
+                assert np.issubdtype(table.dtype, np.integer)
+                assert not table.flags.writeable
+            for table in flat:
+                assert table.ndim == 1 and table.size < 4 ** n
+        assert _pi_sector_tables.cache_info().currsize <= 12
 
     def test_first_coincident_pair_is_named(self):
         pos = random_register(4, 2)
@@ -709,28 +621,18 @@ class TestParitySplit:
         build_hamiltonian(SiteBasis(2), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0]], 13.0, C3).matrix,
         build_hamiltonian(SiteBasis(3), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0], [0.0, -3.0, 17.0]],
                           13.0, C3).matrix,
-        build_jc_chain(sites=2, fock_cutoff=2, g=1.0, f=0.3, v_dd=0.5).matrix,
-        build_jc_chain(sites=3, fock_cutoff=2, g=2.0, f=0.0, v_dd=0.7).matrix,
-        build_jc_chain(sites=2, fock_cutoff=3, g=2.0, f=0.4, v_dd=0.7).matrix,
-    ], ids=["full-1", "full-2", "full-3", "jc-2x3", "jc-3x3", "jc-2x4"])
+        build_hamiltonian(SiteBasis(2), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0]], 0.0, C3).matrix,
+        build_hamiltonian(SiteBasis(3), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0], [0.0, -3.0, 17.0]],
+                          13.0, 0.0).matrix,
+        build_hamiltonian(SiteBasis(4), [[0.0, 0.0, 0.0], [1.0, 2.0, 8.0], [0.0, -3.0, 17.0],
+                                         [2.0, 1.0, 25.0]], 13.0, C3).matrix,
+    ], ids=["full-1", "full-2", "full-3", "exchange-2", "drive-3", "full-4"])
     def test_other_builders_take_the_dense_path(self, matrix):
         assert not _centrosymmetric(matrix)
         with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
             w, v = eigenspectrum(matrix, return_vectors=True)
         dense_w, dense_v = np.linalg.eigh(matrix)
         assert np.array_equal(w, dense_w) and np.array_equal(v, dense_v)
-
-    def test_single_photon_jc_chain_is_centrosymmetric(self):
-        # With Fock cutoff 1, reversing the (g, e) x (0, 1) site basis maps
-        # |g 1> <-> |e 0> and |g 0> <-> |e 1>, which every term respects, so
-        # this chain takes the split; its spectrum still matches dense eigh.
-        matrix = build_jc_chain(sites=3, fock_cutoff=1, g=2.0, f=0.3, v_dd=0.7).matrix
-        assert _centrosymmetric(matrix) and matrix.size >= interactions._SPLIT_MIN_ENTRIES
-        w, v = eigenspectrum(matrix, return_vectors=True)
-        dense = np.linalg.eigvalsh(matrix)
-        assert np.abs(w - dense).max() <= 1e-12 * np.abs(dense).max()
-        assert np.abs(matrix @ v - v * w).max() <= 1e-12 * np.abs(dense).max()
-
 
 class TestPairEigenscan:
     def test_shapes_and_radii(self):

@@ -93,15 +93,15 @@ class TestCloudSampling:
 
     def test_cloud_sample_validation(self):
         with pytest.raises(ValueError):
-            CloudSample(positions=np.ones((3, 2)), rng_seed=0)
+            CloudSample(positions=np.ones((3, 2)))
         with pytest.raises(ValueError):
-            CloudSample(positions=np.full((2, 3), np.nan), rng_seed=0)
+            CloudSample(positions=np.full((2, 3), np.nan))
 
 
 class TestBlockadedWrite:
     def test_distant_candidates_all_accepted(self):
         positions = np.array([[0.0, 0, 0], [50.0, 0, 0], [0, 0, 90.0]])
-        result = write_polaritons(CloudSample(positions, 0), R_O)
+        result = write_polaritons(CloudSample(positions), R_O)
         assert result.n_polaritons == 3
 
     def test_giant_radius_accepts_exactly_one(self):
@@ -161,7 +161,7 @@ class TestBlockadedWrite:
             scale = r_o / float(np.linalg.norm(direction))
             positions[m] = positions[0] + direction * np.nextafter(
                 scale, [0.0, scale, np.inf][m % 3])
-        cloud = CloudSample(positions, seed)
+        cloud = CloudSample(positions)
         with patch.object(montecarlo, "_WRITE_BLOCK", block):
             result = write_polaritons(cloud, r_o, max_attempts)
         expected = sequential_write(positions, r_o, max_attempts)
@@ -278,7 +278,7 @@ class TestClickStream:
     def test_empty_record_is_valid(self):
         clicks = generate_click_stream(NO_BACKGROUND, np.zeros(10, dtype=int), 3)
         assert clicks.times.size == 0
-        assert clicks.events == []
+        assert clicks.detectors.size == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -510,6 +510,12 @@ class TestRabiScan:
         assert scan.sem_counts[1] == 1.0 / 400
         assert scan.mean_counts[0] > 0.0
         assert scan.sem_counts[0] > 1.0 / 400
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_geometry_samples_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="geometry_samples"):
+            simulate_rabi_scan(CFG, RB60_PAIR, np.array([1.0, 2.0]), 0.3, trials=10,
+                               seed=1, geometry_samples=bad)
 
     def test_conditioned_registers_skip_short_candidate_draws(self):
         # An attempt with fewer candidates than the wanted number cannot
