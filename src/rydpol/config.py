@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 TWOPI = 2.0 * math.pi
@@ -28,12 +27,6 @@ _KB = 1.380649e-23
 
 # Rb-87 atomic mass in unified atomic mass units.
 RB87_MASS_U = 86.909
-
-# Ratio R_o / signal wavelength below which the far-field retrieval mode can
-# no longer be assumed directional (single-mode); see directionality_margin.
-# The reference geometry sits at ~9.2, comfortably directional, so the warning
-# threshold is set a little below that.
-DIRECTIONALITY_MIN_RATIO = 5.0
 
 
 class ConfigError(ValueError):
@@ -194,39 +187,3 @@ def motional_dephasing_time(config: ExperimentConfig) -> float:
     # kB*T/m in (m/s)^2; 1 m/s == 1 um/us
     v_rms = math.sqrt(_KB * config.temperature * 1e-6 / (config.atom_mass * _ATOMIC_MASS_KG))
     return 1.0 / (k_eff * v_rms)
-
-
-#: Scaling exponents of Rydberg-state properties with principal quantum number.
-SCALING_LAWS = {
-    "c6_n11": 11,
-    "dipole_n2": 2,
-    "lifetime_n3": 3,
-    "qubit_fom_n5": 5,
-}
-
-
-def rydberg_scalings(n: int, n_ref: int, law: str, value_ref: float) -> float:
-    """Scale value_ref from n_ref to n using the named power law."""
-    if law not in SCALING_LAWS:
-        raise ValueError(f"unknown scaling law {law!r}; choose from {sorted(SCALING_LAWS)}")
-    if n < 1 or n_ref < 1:
-        raise ValueError(f"principal quantum numbers must be >= 1, got n={n}, n_ref={n_ref}")
-    return value_ref * (n / n_ref) ** SCALING_LAWS[law]
-
-
-def directionality_margin(config: ExperimentConfig, coeffs: PairCoefficients) -> float:
-    """Ratio of the optical blockade radius to the signal wavelength.
-
-    Retrieval into a single directional mode assumes R_o >> lambda_signal; the
-    toolkit does not model spatial modes, so runs where the ratio drops below
-    DIRECTIONALITY_MIN_RATIO get a warning instead.
-    """
-    r_o = optical_blockade_radius(coeffs.c6, config.eit_width)
-    ratio = r_o / (config.signal_wavelength * 1e-3)
-    if ratio < DIRECTIONALITY_MIN_RATIO:
-        warnings.warn(
-            f"optical blockade radius {r_o:.2f} um is less than "
-            f"{DIRECTIONALITY_MIN_RATIO:g} signal wavelengths; retrieved emission "
-            "may not be directional and the collective-mode picture is suspect",
-            stacklevel=2)
-    return ratio

@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 GRADIENT_TOLERANCE = 1e-8
-MODEL_IDS = ("lorentzian", "rabi_collective")
 
 
 class FitError(RuntimeError):
@@ -99,7 +98,6 @@ def rabi_collective_model(omega, t_pulse, a, n, omega_env, omega_decay, b):
 class ModelSpec:
     """A model function bundled with parameter names, initial values, bounds."""
 
-    model_id: str
     parameter_names: tuple
     function: Callable = field(repr=False)
     initial: np.ndarray = field(repr=False)
@@ -107,9 +105,6 @@ class ModelSpec:
     upper: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.model_id not in MODEL_IDS:
-            raise ValueError(
-                f"model_id must be one of {MODEL_IDS}, got {self.model_id!r}")
         names = tuple(self.parameter_names)
         if len(set(names)) != len(names) or not names:
             raise ValueError("parameter_names must be non-empty and unique")
@@ -160,7 +155,6 @@ def lorentzian_spec(x, y):
     above_half = int(np.count_nonzero(y > offset0 + 0.5 * amplitude0))
     fwhm0 = min(max(above_half * spacing, 2.0 * spacing), span)
     return ModelSpec(
-        model_id="lorentzian",
         parameter_names=("amplitude", "center", "fwhm", "offset"),
         function=lambda xx, p: lorentzian(xx, p[0], p[1], p[2], p[3]),
         initial=np.array([amplitude0, center0, fwhm0, offset0]),
@@ -195,7 +189,6 @@ def rabi_collective_spec(t_pulse, x, y):
     b0 = float(y.min())
     a0 = max(float(np.ptp(y)), 1e-12)
     return ModelSpec(
-        model_id="rabi_collective",
         parameter_names=("a", "n", "omega_env", "omega_decay", "b"),
         function=lambda xx, p: rabi_collective_model(xx, t_pulse, p[0], p[1],
                                                      p[2], p[3], p[4]),
@@ -307,11 +300,11 @@ def _metric_gradient_norm(jac, residual):
     return float(math.sqrt(max(gradient @ (curvature @ gradient), 0.0)))
 
 
-def fit(spec, x, y, sigma, initial=None, max_iterations=200):
+def fit(spec, x, y, sigma, max_iterations=200):
     """Minimize sum(((y - f(x)) / sigma)^2) with Levenberg-Marquardt.
 
-    Starts from ``spec.initial`` unless ``initial`` overrides it.  Steps
-    solve ``(J^T J + lam*diag(J^T J)) delta = -J^T r`` over the free
+    Starts from ``spec.initial``.  Steps solve
+    ``(J^T J + lam*diag(J^T J)) delta = -J^T r`` over the free
     parameters (a parameter at a bound that descent would push past it is
     held there) and are accepted only if the cost strictly decreases;
     rejected steps raise the damping.  A singular normal matrix triggers
@@ -332,15 +325,7 @@ def fit(spec, x, y, sigma, initial=None, max_iterations=200):
             f"need at least {spec.n_parameters} points to fit "
             f"{spec.n_parameters} parameters, got {x.size}")
 
-    if initial is None:
-        params = spec.initial.copy()
-    else:
-        params = np.asarray(initial, dtype=float)
-        if params.shape != (spec.n_parameters,):
-            raise ValueError(
-                f"initial must supply {spec.n_parameters} values, got {params.shape}")
-        if np.any(params < spec.lower) or np.any(params > spec.upper):
-            raise ValueError("initial values must lie within the model bounds")
+    params = spec.initial.copy()
 
     def residuals(p):
         return (y - np.asarray(spec.function(x, p), dtype=float)) / sigma

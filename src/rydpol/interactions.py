@@ -98,16 +98,6 @@ class SiteBasis:
             index = 4 * index + LEVELS.index(label)
         return index
 
-    def state_labels(self, index):
-        """Per-site level labels of basis state `index` (inverse of state_index)."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} out of range for dimension {self.dim}")
-        labels = []
-        for _ in range(self.n_sites):
-            labels.append(LEVELS[index % 4])
-            index //= 4
-        return tuple(reversed(labels))
-
     def total_m(self):
         """Total magnetic quantum number of every basis state, as an array."""
         m = np.zeros(self.dim)
@@ -528,12 +518,3 @@ def time_evolve(h, psi0, t):
     w, v = eigenspectrum(matrix, return_vectors=True)
     coefficients = v.conj().T @ psi0
     return v @ (np.exp(-2j * np.pi * w * float(t)) * coefficients)
-
-
-def retrieval_overlap(psi, basis):
-    """Probability of projecting back onto the stored all-s product state."""
-    psi = np.asarray(psi)
-    if psi.shape[-1] != basis.dim:
-        raise ValueError(f"state length {psi.shape[-1]} does not match basis dim {basis.dim}")
-    overlap = np.abs(psi[..., basis.all_s_index]) ** 2
-    return float(overlap) if overlap.ndim == 0 else overlap

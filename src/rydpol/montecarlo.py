@@ -17,11 +17,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .config import ExperimentConfig, PairCoefficients, optical_blockade_radius
 from .interactions import (
+    MAX_DIMENSION,
     _all_s_return_probabilities,
     _distances,
     _pi_sector_drive,
@@ -58,6 +61,9 @@ _STAGE_CLICKS = 4
 _STAGE_DRIFT = 5
 _STAGE_EMITTER = 6
 _STAGE_SCAN = 7
+
+#: Largest register whose pi sector (2^n states) the dense solver takes.
+_MAX_SITES = MAX_DIMENSION.bit_length() - 1
 
 
 # --------------------------------------------------------------------------
@@ -114,23 +120,18 @@ class WriteResult:
 _WRITE_BLOCK = 256
 
 
-def write_polaritons(cloud, r_o, max_attempts=None):
+def write_polaritons(cloud, r_o):
     """Sequential hard-sphere acceptance of excitation candidates.
 
     Candidates are visited in sampled order (an i.i.d. draw is already a
     uniformly random order); a candidate is excited iff no previously
-    accepted excitation lies within r_o.  max_attempts caps how many
-    candidates are considered.  The distances of a block of up to
+    accepted excitation lies within r_o.  The distances of a block of up to
     _WRITE_BLOCK candidates to the earlier acceptances and to each other
     are computed at once; one pass over the block then accepts in order.
     """
     if not (math.isfinite(r_o) and r_o > 0):
         raise ValueError(f"r_o must be positive, got {r_o!r}")
     candidates = cloud.positions
-    if max_attempts is not None:
-        if not isinstance(max_attempts, (int, np.integer)) or max_attempts < 0:
-            raise ValueError(f"max_attempts must be a non-negative integer, got {max_attempts!r}")
-        candidates = candidates[: int(max_attempts)]
     accepted = candidates[:0]
     for start in range(0, len(candidates), _WRITE_BLOCK):
         # rows: this block's candidates; columns: the acceptances so far, then
@@ -144,6 +145,24 @@ def write_polaritons(cloud, r_o, max_attempts=None):
         accepted = others[taken]
     return WriteResult(polariton_positions=accepted, n_polaritons=len(accepted),
                        n_candidates=len(candidates))
+
+
+def _written_register(config, pair_coeffs, seed, trial, min_candidates=0):
+    """The blockaded write of one trial, drawn from that trial's streams.
+
+    Returns None, without sampling the cloud, when fewer than min_candidates
+    candidates are drawn: such a write cannot store min_candidates polaritons.
+    """
+    n_candidates = int(philox_stream(seed, _STAGE_CANDIDATES, trial)
+                       .poisson(config.mean_input_photons * WRITE_EFFICIENCY))
+    if n_candidates < min_candidates:
+        return None
+    if n_candidates == 0:
+        return WriteResult(polariton_positions=np.empty((0, 3)), n_polaritons=0,
+                           n_candidates=0)
+    cloud = sample_positions(config, n_candidates, seed, index=trial)
+    r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
+    return write_polaritons(cloud, r_o)
 
 
 # --------------------------------------------------------------------------
@@ -196,15 +215,26 @@ def _worker_count(threads, cores, jobs):
     return max(1, min(int(threads), int(cores or 1), int(jobs)))
 
 
-def _written_register(config, pair_coeffs, seed, trial):
-    n_candidates = int(philox_stream(seed, _STAGE_CANDIDATES, trial)
-                       .poisson(config.mean_input_photons * WRITE_EFFICIENCY))
-    if n_candidates == 0:
-        return WriteResult(polariton_positions=np.empty((0, 3)), n_polaritons=0,
-                           n_candidates=0)
-    cloud = sample_positions(config, n_candidates, seed, index=trial)
-    r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
-    return write_polaritons(cloud, r_o)
+def _map_blocks(func, items, threads):
+    """func(items), computed in contiguous blocks by worker processes.
+
+    func maps a block of items to one result per item.  Up to
+    min(threads, cores, len(items)) workers each take one block, and their
+    results are joined in order, so the result does not depend on the split.
+    With one worker, func(items) runs in this process.
+    """
+    workers = _worker_count(threads, os.cpu_count(), len(items))
+    if workers <= 1:
+        return func(items)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(func, np.array_split(items, workers))))
+
+
+def _check_pulse(config, pulse_duration):
+    if not (math.isfinite(pulse_duration) and 0 <= pulse_duration <= config.storage_time):
+        raise ValueError(
+            f"pulse_duration must fit in the storage interval [0, {config.storage_time}], "
+            f"got {pulse_duration!r}")
 
 
 def simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=0):
@@ -221,10 +251,7 @@ def simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=0):
     """
     if not (math.isfinite(omega_mu) and omega_mu >= 0):
         raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
-    if not (math.isfinite(pulse_duration) and 0 <= pulse_duration <= config.storage_time):
-        raise ValueError(
-            f"pulse_duration must fit in the storage interval [0, {config.storage_time}], "
-            f"got {pulse_duration!r}")
+    _check_pulse(config, pulse_duration)
     write = _written_register(config, pair_coeffs, seed, trial)
     n = write.n_polaritons
     return_probability = _register_return_probability(
@@ -239,28 +266,19 @@ def simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=0):
     return int(detected + background)
 
 
-def _shot_chunk(args):
-    config, pair_coeffs, omega_mu, pulse_duration, seed, start, stop = args
+def _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, trials):
     return [simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=t)
-            for t in range(start, stop)]
+            for t in trials.tolist()]
 
 
 def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threads=1):
     """Detected photon counts for `trials` independent shots (trial-indexed streams)."""
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    trials = int(trials)
-    workers = _worker_count(threads, os.cpu_count(), trials)
-    if workers <= 1 or trials < 64:
-        counts = _shot_chunk((config, pair_coeffs, omega_mu, pulse_duration, seed,
-                              0, trials))
-        return np.asarray(counts, dtype=np.int64)
-    edges = np.linspace(0, trials, workers + 1, dtype=int)
-    jobs = [(config, pair_coeffs, omega_mu, pulse_duration, seed, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_shot_chunk, jobs))
-    return np.asarray([c for part in parts for c in part], dtype=np.int64)
+    counts = _map_blocks(
+        partial(_shot_chunk, config, pair_coeffs, omega_mu, pulse_duration, seed),
+        np.arange(trials), threads if trials >= 64 else 1)
+    return np.asarray(counts, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -439,47 +457,37 @@ def background_correct_g2(g2_measured, signal_fraction):
 # --------------------------------------------------------------------------
 # Slow efficiency drift
 
+#: Period, in trials, of the sinusoidal efficiency drift.
+DRIFT_PERIOD_TRIALS = 5000.0
+
+
 @dataclass(frozen=True)
 class DriftSpec:
-    """Slow modulation of the per-trial retrieval efficiency."""
+    """Slow sinusoidal modulation of the per-trial retrieval efficiency."""
 
     amplitude: float              # peak relative modulation, in [0, 1)
-    period_trials: float = 5000.0
-    kind: str = "sinusoidal"      # or "linear"
-    phase: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 1.0):
             raise ValueError(f"amplitude must be in [0, 1), got {self.amplitude!r}")
-        if self.kind not in ("sinusoidal", "linear"):
-            raise ValueError(f"kind must be 'sinusoidal' or 'linear', got {self.kind!r}")
-        if self.kind == "sinusoidal" and self.period_trials <= 0:
-            raise ValueError("period_trials must be positive")
 
     @classmethod
-    def from_relative_std(cls, relative_std, **kwargs):
+    def from_relative_std(cls, relative_std, rng_seed=0):
         """Spec whose efficiency time series has the given Var^0.5/Mean."""
-        kind = kwargs.get("kind", "sinusoidal")
-        factor = math.sqrt(2.0) if kind == "sinusoidal" else math.sqrt(3.0)
-        return cls(amplitude=relative_std * factor, **kwargs)
+        return cls(amplitude=relative_std * math.sqrt(2.0), rng_seed=rng_seed)
 
-    def modulation(self, trial_indices, n_trials):
+    def modulation(self, trial_indices):
         """Relative efficiency (1 + m_t) / (1 + amplitude), in (0, 1]."""
         t = np.asarray(trial_indices, dtype=float)
-        if self.kind == "sinusoidal":
-            m = self.amplitude * np.sin(2.0 * math.pi * t / self.period_trials
-                                        + self.phase)
-        else:
-            span = max(n_trials - 1, 1)
-            m = self.amplitude * (2.0 * t / span - 1.0)
+        m = self.amplitude * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_TRIALS)
         return (1.0 + m) / (1.0 + self.amplitude)
 
 
 def efficiency_drift_model(clicks, drift_spec):
     """Thin a click record by a slowly varying per-trial efficiency."""
     trial_of_event = np.floor_divide(clicks.times, clicks.repetition_period).astype(int)
-    keep_probability = drift_spec.modulation(trial_of_event, clicks.n_trials)
+    keep_probability = drift_spec.modulation(trial_of_event)
     rng = philox_stream(drift_spec.rng_seed, _STAGE_DRIFT)
     keep = rng.random(clicks.times.size) < keep_probability
     return replace(clicks, times=clicks.times[keep], detectors=clicks.detectors[keep])
@@ -531,35 +539,23 @@ class RabiScanResult:
     trials: int
 
 
-def _scan_geometries(config, pair_coeffs, count, seed, n_polaritons=None,
-                     max_attempts=None):
-    """Written registers for a scan, optionally conditioned on the stored number."""
-    r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
-    mean_candidates = config.mean_input_photons * WRITE_EFFICIENCY
-    geometries = []
-    attempt = 0
+def _scan_geometries(config, pair_coeffs, count, seed, n_polaritons=None):
+    """The first `count` written registers, optionally of those storing n_polaritons.
+
+    Attempt a is the write of trial a; an attempt with fewer candidates than
+    n_polaritons is skipped without sampling its cloud.
+    """
     budget = 10000 * count
-    while len(geometries) < count:
-        if attempt >= budget:
-            raise RuntimeError(
-                f"could not draw {count} registers with {n_polaritons} polaritons "
-                f"in {budget} attempts")
-        n_candidates = int(philox_stream(seed, _STAGE_CANDIDATES, attempt)
-                           .poisson(mean_candidates))
-        if n_polaritons is not None and n_candidates < n_polaritons:
-            # no write stores more polaritons than it has candidates
-            attempt += 1
-            continue
-        if n_candidates == 0:
-            write = WriteResult(polariton_positions=np.empty((0, 3)),
-                                n_polaritons=0, n_candidates=0)
-        else:
-            cloud = sample_positions(config, n_candidates, seed, index=attempt)
-            write = write_polaritons(cloud, r_o, max_attempts)
-        attempt += 1
-        if n_polaritons is not None and write.n_polaritons != n_polaritons:
-            continue
-        geometries.append(write)
+    writes = (_written_register(config, pair_coeffs, seed, attempt,
+                                min_candidates=n_polaritons or 0)
+              for attempt in range(budget))
+    kept = (w for w in writes
+            if w is not None and (n_polaritons is None or w.n_polaritons == n_polaritons))
+    geometries = list(islice(kept, count))
+    if len(geometries) < count:
+        raise RuntimeError(
+            f"could not draw {count} registers with {n_polaritons} polaritons "
+            f"in {budget} attempts")
     return geometries
 
 
@@ -579,29 +575,23 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
         raise ValueError("omegas must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(omegas)) or np.any(omegas < 0):
         raise ValueError("omegas must be finite and non-negative")
-    if not (math.isfinite(pulse_duration) and 0 <= pulse_duration <= config.storage_time):
-        raise ValueError(
-            f"pulse_duration must fit in the storage interval [0, {config.storage_time}]")
+    _check_pulse(config, pulse_duration)
     if not isinstance(trials, (int, np.integer)) or trials < 2:
         raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
     if not isinstance(geometry_samples, (int, np.integer)) or geometry_samples < 1:
         raise ValueError(
             f"geometry_samples must be a positive integer, got {geometry_samples!r}")
+    if n_polaritons is not None and not (
+            isinstance(n_polaritons, (int, np.integer)) and 0 <= n_polaritons <= _MAX_SITES):
+        raise ValueError(f"n_polaritons must be None or an integer in [0, {_MAX_SITES}], "
+                         f"got {n_polaritons!r}")
     geometries = _scan_geometries(config, pair_coeffs, int(geometry_samples), seed,
                                   n_polaritons=n_polaritons)
     n_per_geometry = np.array([g.n_polaritons for g in geometries], dtype=np.int64)
 
     registers = [g.polariton_positions for g in geometries]
-    workers = _worker_count(threads, os.cpu_count(), omegas.size)
-    if workers <= 1:
-        overlaps = _scan_return_probabilities(registers, omegas, pair_coeffs.c3,
-                                              pulse_duration)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            overlaps = np.concatenate(list(pool.map(
-                _scan_return_probabilities, [registers] * workers,
-                np.array_split(omegas, workers), [pair_coeffs.c3] * workers,
-                [pulse_duration] * workers)))
+    overlaps = _map_blocks(partial(_scan_return_probabilities, registers, c3=pair_coeffs.c3,
+                                   pulse_duration=pulse_duration), omegas, threads)
 
     trials = int(trials)
     assignment = np.arange(trials) % len(geometries)

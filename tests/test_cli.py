@@ -61,6 +61,14 @@ class TestExitCodes:
         assert "rydpol: error: geometry_samples" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_negative_n_polaritons_is_computation_error(self, tmp_path, capsys):
+        code = run_cli("rabi-scan", "--n-polaritons", -1, "--geometry-samples", 2,
+                       "--points", 2, "--trials", 10, "--threads", 1,
+                       "--output-dir", tmp_path)
+        assert code == 1
+        assert "rydpol: error: n_polaritons" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_input_file_is_computation_error(self, tmp_path, capsys):
         code = run_cli("fit", "--model", "lorentzian",
                        "--input", tmp_path / "nope.csv",

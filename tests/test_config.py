@@ -1,4 +1,4 @@
-"""Units/config module: radius formulas, dephasing, scalings, config I/O.
+"""Units/config module: radius formulas, dephasing, config I/O.
 
 Expected values are frozen from direct evaluation of the documented formulas
 (see docstrings); literature anchors are asserted at their quoted precision.
@@ -18,11 +18,9 @@ from rydpol.config import (
     ExperimentConfig,
     PairCoefficients,
     dipole_interaction,
-    directionality_margin,
     microwave_blockade_radius,
     motional_dephasing_time,
     optical_blockade_radius,
-    rydberg_scalings,
 )
 
 
@@ -110,25 +108,6 @@ class TestMotionalDephasing:
         assert cold == pytest.approx(2.0 * warm, rel=1e-12)
 
 
-class TestScalings:
-    def test_identity_at_reference(self):
-        assert rydberg_scalings(60, 60, "c6_n11", -140.0) == -140.0
-
-    def test_c6_power(self):
-        ratio = rydberg_scalings(60, 58, "c6_n11", 1.0)
-        assert ratio == pytest.approx((60 / 58) ** 11, rel=1e-12)
-        assert ratio == pytest.approx(1.451965, rel=1e-6)
-
-    def test_dipole_and_lifetime_and_fom(self):
-        assert rydberg_scalings(120, 60, "dipole_n2", 1.0) == pytest.approx(4.0)
-        assert rydberg_scalings(120, 60, "lifetime_n3", 1.0) == pytest.approx(8.0)
-        assert rydberg_scalings(120, 60, "qubit_fom_n5", 1.0) == pytest.approx(32.0)
-
-    def test_unknown_law_rejected(self):
-        with pytest.raises(ValueError, match="unknown scaling law"):
-            rydberg_scalings(60, 58, "c6_n12", 1.0)
-
-
 class TestExperimentConfig:
     def test_defaults_are_valid(self):
         ExperimentConfig()
@@ -197,16 +176,3 @@ class TestPairCoefficients:
     def test_zero_rejected(self):
         with pytest.raises(ConfigError, match="c6"):
             PairCoefficients(c6=0.0)
-
-
-class TestDirectionality:
-    def test_reference_geometry_is_directional(self, recwarn):
-        ratio = directionality_margin(ExperimentConfig(), RB60_PAIR)
-        assert ratio == pytest.approx(
-            optical_blockade_radius(-140.0, 1.0) / 0.7802, rel=1e-12)
-        assert not recwarn.list
-
-    def test_small_blockade_radius_warns(self):
-        with pytest.warns(UserWarning, match="directional"):
-            directionality_margin(ExperimentConfig(eit_width=1.0),
-                                  PairCoefficients(c6=-1e-4))

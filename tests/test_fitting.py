@@ -10,6 +10,7 @@ Independent oracles used here:
 """
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -120,27 +121,21 @@ class TestRabiCollectiveModel:
 
 
 class TestModelSpec:
-    def test_rejects_unknown_model_id(self):
-        with pytest.raises(ValueError, match="model_id"):
-            ModelSpec(model_id="parabola", parameter_names=("a",),
-                      function=lambda x, p: p[0] * x,
-                      initial=[1.0], lower=[0.0], upper=[2.0])
-
     def test_rejects_initial_outside_bounds(self):
         with pytest.raises(ValueError, match="within bounds"):
-            ModelSpec(model_id="lorentzian", parameter_names=("a",),
+            ModelSpec(parameter_names=("a",),
                       function=lambda x, p: p[0] * x,
                       initial=[3.0], lower=[0.0], upper=[2.0])
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
-            ModelSpec(model_id="lorentzian", parameter_names=("a", "a"),
+            ModelSpec(parameter_names=("a", "a"),
                       function=lambda x, p: p[0] * x,
                       initial=[1.0, 1.0], lower=[0.0, 0.0], upper=[2.0, 2.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="one entry per parameter"):
-            ModelSpec(model_id="lorentzian", parameter_names=("a", "b"),
+            ModelSpec(parameter_names=("a", "b"),
                       function=lambda x, p: p[0] * x + p[1],
                       initial=[1.0], lower=[0.0, 0.0], upper=[2.0, 2.0])
 
@@ -215,7 +210,7 @@ class TestFitEngine:
         spec = lorentzian_spec(x, y)
         perturbed = spec.initial * np.array([1.3, 1.0, 0.7, 1.0]) + np.array(
             [0.0, 0.2, 0.0, 0.01])
-        result = fit(spec, x, y, np.full(x.size, 0.01), initial=perturbed)
+        result = fit(replace(spec, initial=perturbed), x, y, np.full(x.size, 0.01))
         assert result.status == "converged"
         assert result.chi2 < 1e-12
         for got, want in zip(result.parameters, truth):
@@ -298,7 +293,7 @@ class TestFitEngine:
             rng = philox_stream(9400 + rep, 1)
             start = spec.initial * rng.uniform(0.6, 1.6, size=spec.initial.size)
             start = np.minimum(np.maximum(start, spec.lower), spec.upper)
-            result = fit(spec, SCAN_OMEGAS, y, sigma, initial=start,
+            result = fit(replace(spec, initial=start), SCAN_OMEGAS, y, sigma,
                          max_iterations=400)
             assert result.chi2 <= chi2_at(start) + 1e-12
 
@@ -336,8 +331,7 @@ class TestFitEngine:
         with pytest.raises(ValueError, match="at least"):
             fit(spec, SCAN_OMEGAS[:3], y[:3], sigma[:3])
         with pytest.raises(ValueError, match="bounds"):
-            fit(spec, SCAN_OMEGAS, y, sigma,
-                initial=np.array([1.0, -5.0, 2.0, 3.0, 0.0]))
+            replace(spec, initial=np.array([1.0, -5.0, 2.0, 3.0, 0.0]))
 
     def test_optimum_on_a_bound_converges(self):
         # A Lorentzian 100 times wider than the spec allows: the best fit

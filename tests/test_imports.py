@@ -1,4 +1,4 @@
-"""What `import rydpol` loads, and the physical constants spelled out in its source.
+"""What `import rydpol` loads and exports, and the physical constants in its source.
 
 The package imports scipy only where a function needs it, so a plain import
 (every CLI call pays it) stays light.  The constants that replace
@@ -36,3 +36,9 @@ def test_import_does_not_load_scipy():
 def test_constants_match_scipy(ours, name):
     assert ours == pytest.approx(scipy.constants.physical_constants[name][0], rel=1e-8)
 
+
+
+def test_public_names_resolve_once():
+    assert len(rydpol.__all__) == len(set(rydpol.__all__))
+    missing = [name for name in rydpol.__all__ if not hasattr(rydpol, name)]
+    assert missing == []

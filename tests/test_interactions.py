@@ -10,6 +10,7 @@ Independent oracles used here:
     collective module's [cos^2(theta/2)]^N retrieval law for cross-checks.
 """
 
+import itertools
 import math
 from unittest.mock import patch
 
@@ -37,7 +38,6 @@ from rydpol.interactions import (
     count_branch_crossings,
     eigenspectrum,
     pair_eigenscan,
-    retrieval_overlap,
     time_evolve,
 )
 
@@ -107,12 +107,12 @@ class TestSiteBasis:
             basis = SiteBasis(n)
             assert basis.dim == 4 ** n
             assert basis.all_s_index == 0
-            assert basis.state_labels(0) == ("s",) * n
+            assert basis.state_index(("s",) * n) == 0
 
     def test_state_index_round_trip(self):
         basis = SiteBasis(3)
-        for idx in range(basis.dim):
-            assert basis.state_index(basis.state_labels(idx)) == idx
+        for idx, labels in enumerate(itertools.product(LEVELS, repeat=3)):
+            assert basis.state_index(labels) == idx
 
     def test_site_major_ordering(self):
         basis = SiteBasis(2)
@@ -384,13 +384,13 @@ class TestRetrievalOverlap:
         basis = SiteBasis(3)
         psi = np.zeros(basis.dim)
         psi[basis.all_s_index] = 1.0
-        assert retrieval_overlap(psi, basis) == 1.0
+        assert abs(psi[basis.all_s_index]) ** 2 == 1.0
 
     def test_orthogonal_state_gives_zero(self):
         basis = SiteBasis(2)
         psi = np.zeros(basis.dim)
         psi[basis.state_index(("p0", "s"))] = 1.0
-        assert retrieval_overlap(psi, basis) == 0.0
+        assert abs(psi[basis.all_s_index]) ** 2 == 0.0
 
     @given(theta=st.floats(0.0, 4 * math.pi), n=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -404,7 +404,7 @@ class TestRetrievalOverlap:
         psi0 = np.zeros(basis.dim)
         psi0[0] = 1.0
         psi = time_evolve(h, psi0, theta / (2 * math.pi * omega))
-        assert retrieval_overlap(psi, basis) == pytest.approx(
+        assert abs(psi[basis.all_s_index]) ** 2 == pytest.approx(
             retrieval_probability(n, theta), abs=1e-10)
 
 
@@ -425,7 +425,7 @@ class TestStrongDrivePulse:
             omega = 50.0 * v_max
             h = build_hamiltonian(basis, pos, omega, C3)
             psi = time_evolve(h, psi0, 1.0 / omega)
-            assert retrieval_overlap(psi, basis) >= 0.95
+            assert abs(psi[basis.all_s_index]) ** 2 >= 0.95
 
 
 class TestPiSectorReduction:
@@ -752,7 +752,7 @@ class TestDriveExchangeCompetition:
         for pos in samples:
             h = build_hamiltonian(basis, pos, omega, C3)
             psi = time_evolve(h, psi0, 1.0 / omega)
-            vals.append(retrieval_overlap(psi, basis))
+            vals.append(abs(psi[basis.all_s_index]) ** 2)
         return float(np.mean(vals))
 
     def test_return_dips_at_resonance(self, ensemble):

@@ -57,10 +57,10 @@ NO_BACKGROUND = replace(CFG, background_rate=0.0)
 IDEAL = replace(CFG, detection_efficiency=1.0, background_rate=0.0)
 
 
-def sequential_write(positions, r_o, max_attempts=None):
+def sequential_write(positions, r_o):
     """Reference blockaded write: one candidate at a time, in sampled order."""
     accepted = []
-    for point in positions[:max_attempts]:
+    for point in positions:
         if all(np.linalg.norm(point - prior) >= r_o for prior in accepted):
             accepted.append(point)
     return np.array(accepted, dtype=float).reshape(-1, 3)
@@ -115,12 +115,6 @@ class TestBlockadedWrite:
         result = write_polaritons(cloud, 1e-9)
         assert result.n_polaritons == 40
 
-    def test_max_attempts_caps_candidates(self):
-        cloud = sample_positions(CFG, 40, 8)
-        result = write_polaritons(cloud, 1e-9, max_attempts=5)
-        assert result.n_candidates == 5
-        assert result.n_polaritons == 5
-
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.integers(min_value=2, max_value=25))
     @settings(max_examples=40, deadline=None)
@@ -146,10 +140,9 @@ class TestBlockadedWrite:
         assert taken == len(pos)
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 30),
-           st.floats(0.5, 40.0), st.one_of(st.none(), st.integers(0, 32)),
-           st.sampled_from([2, 3, 256]))
+           st.floats(0.5, 40.0), st.sampled_from([2, 3, 256]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_sequential_loop(self, seed, count, r_o, max_attempts, block):
+    def test_matches_sequential_loop(self, seed, count, r_o, block):
         # Every other candidate is moved to within a few rounding steps of
         # r_o from candidate 0, so near-ties at the blockade radius are
         # exercised; small blocks exercise the distances to acceptances of
@@ -163,10 +156,10 @@ class TestBlockadedWrite:
                 scale, [0.0, scale, np.inf][m % 3])
         cloud = CloudSample(positions)
         with patch.object(montecarlo, "_WRITE_BLOCK", block):
-            result = write_polaritons(cloud, r_o, max_attempts)
-        expected = sequential_write(positions, r_o, max_attempts)
+            result = write_polaritons(cloud, r_o)
+        expected = sequential_write(positions, r_o)
         assert np.array_equal(result.polariton_positions, expected)
-        assert result.n_candidates == len(positions[:max_attempts])
+        assert result.n_candidates == len(positions)
 
     def test_result_does_not_alias_the_cloud(self):
         cloud = sample_positions(CFG, 6, 3)
@@ -403,19 +396,16 @@ class TestDrift:
     def test_relative_std_factor(self):
         sinus = DriftSpec.from_relative_std(0.30)
         assert sinus.amplitude == pytest.approx(0.30 * math.sqrt(2.0), rel=1e-12)
-        linear = DriftSpec.from_relative_std(0.30, kind="linear")
-        assert linear.amplitude == pytest.approx(0.30 * math.sqrt(3.0), rel=1e-12)
+        assert DriftSpec.from_relative_std(0.30, rng_seed=7).rng_seed == 7
 
     def test_modulation_series_has_requested_std(self):
         # Var^0.5/Mean of the efficiency series reproduces the requested
-        # relative std for both waveforms (discrete sum over many periods).
+        # relative std (discrete sum over many periods).
         t = np.arange(100_000)
-        for kind in ("sinusoidal", "linear"):
-            spec = DriftSpec.from_relative_std(0.30, kind=kind)
-            series = spec.modulation(t, t.size)
-            assert series.std() / series.mean() == pytest.approx(0.30, abs=0.002)
-            assert series.min() > 0.0
-            assert series.max() <= 1.0
+        series = DriftSpec.from_relative_std(0.30).modulation(t)
+        assert series.std() / series.mean() == pytest.approx(0.30, abs=0.002)
+        assert series.min() > 0.0
+        assert series.max() <= 1.0
 
     def test_side_peak_level_tracks_variance(self):
         # Slow multiplicative drift raises the side-peak coincidence rate to
@@ -432,9 +422,7 @@ class TestDrift:
         with pytest.raises(ValueError):
             DriftSpec(amplitude=1.0)
         with pytest.raises(ValueError):
-            DriftSpec(amplitude=0.2, kind="sawtooth")
-        with pytest.raises(ValueError):
-            DriftSpec(amplitude=0.2, period_trials=0.0)
+            DriftSpec(amplitude=-0.1)
 
 
 class TestSourceModels:
@@ -517,6 +505,15 @@ class TestRabiScan:
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([1.0, 2.0]), 0.3, trials=10,
                                seed=1, geometry_samples=bad)
 
+    @pytest.mark.parametrize("bad", [-1, 2.5, 13])
+    def test_n_polaritons_must_be_a_register_size(self, bad):
+        # rejected before any write: none of them can ever be drawn or solved
+        with patch.object(montecarlo, "_written_register") as write, \
+                pytest.raises(ValueError, match="n_polaritons"):
+            simulate_rabi_scan(CFG, RB60_PAIR, np.array([1.0, 2.0]), 0.3, trials=10,
+                               seed=1, n_polaritons=bad, geometry_samples=2)
+        assert not write.called
+
     def test_conditioned_registers_skip_short_candidate_draws(self):
         # An attempt with fewer candidates than the wanted number cannot
         # store it, so it is neither sampled nor written; the registers are
@@ -544,7 +541,7 @@ class TestRabiScan:
         with pytest.raises(ValueError):
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([-1.0]), 0.3,
                                trials=100, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pulse_duration .* got 5.0"):
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([1.0]), 5.0,
                                trials=100, seed=1)
         with pytest.raises(ValueError):
@@ -581,10 +578,9 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, func, *iterables):
-        jobs = list(zip(*iterables))
-        self.requests[-1]["jobs"] = jobs
-        return [func(*job) for job in jobs]
+    def map(self, func, blocks):
+        self.requests[-1]["blocks"] = blocks = list(blocks)
+        return [func(block) for block in blocks]
 
 
 class TestScanKernel:
@@ -654,13 +650,15 @@ class TestWorkerCount:
         FakePool.requests.clear()
         omegas = np.linspace(1.0, 10.0, 7)
         kwargs = dict(trials=200, seed=22, n_polaritons=3, geometry_samples=10)
-        serial = simulate_rabi_scan(CFG, RB60_PAIR, omegas, 0.3, threads=1, **kwargs)
         faked = simulate_rabi_scan(CFG, RB60_PAIR, omegas, 0.3, threads=10 ** 9, **kwargs)
         shots = run_shots(CFG, RB60_PAIR, 9.0, 0.15, 128, 4, threads=10 ** 9)
         assert [r["max_workers"] for r in FakePool.requests] == [3, 3]
-        scan_jobs = FakePool.requests[0]["jobs"]
-        # contiguous drive blocks, each sent the registers once
-        assert np.array_equal(np.concatenate([job[1] for job in scan_jobs]), omegas)
-        assert all(job[0] is scan_jobs[0][0] for job in scan_jobs)
+        # contiguous blocks that cover the drives and the trials once, in order
+        drive_blocks, trial_blocks = (r["blocks"] for r in FakePool.requests)
+        assert len(drive_blocks) == len(trial_blocks) == 3
+        assert np.array_equal(np.concatenate(drive_blocks), omegas)
+        assert np.array_equal(np.concatenate(trial_blocks), np.arange(128))
+        serial = simulate_rabi_scan(CFG, RB60_PAIR, omegas, 0.3, threads=1, **kwargs)
         assert np.array_equal(serial.mean_counts, faked.mean_counts)
         assert np.array_equal(shots, run_shots(CFG, RB60_PAIR, 9.0, 0.15, 128, 4))
+        assert len(FakePool.requests) == 2

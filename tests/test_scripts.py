@@ -47,3 +47,12 @@ def test_quickest_study_writes_into_output_dir(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (200, 3)
     assert np.all(np.diff(data[:, 1]) < 0)  # r_mu shrinks as the drive grows
+
+
+def test_exchange_crossover_study_writes_one_row_per_ratio(tmp_path):
+    # the one study built on the scan's private write and kernel functions
+    done = run_script("exchange_crossover_study.py", "--output-dir", tmp_path, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    data = np.loadtxt(tmp_path / "crossover.csv", delimiter=",", skiprows=1)
+    assert data.shape[0] == 7
+    assert np.all(np.isfinite(data))
