@@ -108,13 +108,29 @@ class SiteBasis:
         return m
 
 
+def _any(flags):
+    """Whether any flag is set; the one flag of a single matrix is read directly."""
+    return bool(flags.any() if flags.ndim else flags)
+
+
 def _check_hermitian(matrix, what):
-    """Raise unless `matrix` (or each matrix of a stack) is finite and Hermitian."""
-    if not np.isfinite(matrix).all():
+    """Raise unless `matrix` (or each matrix of a stack) is finite and Hermitian.
+
+    Hermitian means max|H - H^dag| <= 1e-12 max|H| for each matrix.  The
+    finite test reads max|H|, since a max propagates NaN and inf.  A real
+    matrix is compared with its transpose, and H - H^T is antisymmetric, so
+    its largest entry is its largest |entry|: the comparison needs no
+    conjugate or absolute-value copy.
+    """
+    axes = (-2, -1)
+    scale = np.abs(matrix).max(axis=axes, initial=0.0)
+    if _any(~np.isfinite(scale)):
         raise ValueError(f"{what} has non-finite entries")
-    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
-    skew = np.abs(matrix - np.swapaxes(matrix, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
-    if (skew > _HERMITICITY_RTOL * scale).any():
+    if matrix.dtype.kind == "c":
+        skew = np.abs(matrix - matrix.swapaxes(-2, -1).conj()).max(axis=axes, initial=0.0)
+    else:
+        skew = (matrix - matrix.swapaxes(-2, -1)).max(axis=axes, initial=0.0)
+    if _any(skew > _HERMITICITY_RTOL * scale):
         raise ValueError(f"{what} is not Hermitian")
 
 
@@ -340,7 +356,9 @@ def eigenspectrum(h, return_vectors=False):
 #: Fewest entries, over all matrices of a stack together, at which
 #: _block_eigh tests for the parity split.  Below it the bookkeeping costs
 #: more than the half-size solves save: one 32-row matrix breaks even, and
-#: a stack of 8-row matrices starts to gain at about 20 of them.
+#: a stack of 8-row matrices starts to gain at about 20 of them.  Splitting
+#: single matrices from 16 rows, with the eigenvector lift kept, was no
+#: faster, so one threshold serves single matrices and stacks.
 _SPLIT_MIN_ENTRIES = 2048
 
 
@@ -381,10 +399,12 @@ def _block_eigh(matrices, check_vectors=True):
         h_norm = np.abs(w).max(axis=(0, -1), initial=0.0)
         misfit = blocks @ v
         misfit -= v * w[..., None, :]
-        residuals = np.sqrt(np.einsum("...ij,...ij->...j", misfit.conj(), misfit).real)
-        residuals = residuals.max(axis=(0, -1), initial=0.0)
-        bad = (residuals > 1e-9 * h_norm) & (h_norm > 0.0)
-        if bad.any():
+        # largest squared column norm; sqrt is monotonic, so one sqrt per matrix
+        squares = np.einsum("...ij,...ij->...j",
+                            misfit.conj() if misfit.dtype.kind == "c" else misfit, misfit)
+        residuals = np.sqrt(squares.real.max(axis=(0, -1), initial=0.0))
+        bad = residuals > 1e-9 * h_norm
+        if _any(bad):
             first = np.flatnonzero(bad)[0]
             raise RuntimeError(
                 f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
@@ -516,5 +536,14 @@ def time_evolve(h, psi0, t):
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be normalized, got ||psi0|| = {norm:.6g}")
     w, v = eigenspectrum(matrix, return_vectors=True)
-    coefficients = v.conj().T @ psi0
-    return v @ (np.exp(-2j * np.pi * w * float(t)) * coefficients)
+    if v.dtype.kind == "c":
+        coefficients = v.conj().T @ psi0
+        return v @ (np.exp(-2j * np.pi * w * float(t)) * coefficients)
+    # real eigenvectors act on (real, imaginary) pairs, without a complex copy of v
+    coefficients = (v.T @ _pairs(psi0)).view(complex).ravel()
+    return (v @ _pairs(np.exp(-2j * np.pi * w * float(t)) * coefficients)).view(complex).ravel()
+
+
+def _pairs(z):
+    """A complex vector viewed as its (d, 2) array of (real, imaginary) parts."""
+    return np.ascontiguousarray(z).view(float).reshape(-1, 2)

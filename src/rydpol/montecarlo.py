@@ -31,7 +31,7 @@ from .interactions import (
     build_pi_sector_hamiltonian,
     time_evolve,
 )
-from .rng import philox_stream
+from .rng import _rekeyed_stream, philox_stream
 
 #: Probability that an input photon produces a Rydberg excitation candidate
 #: during the write pulse.  Calibrated so the blockaded write at the default
@@ -92,10 +92,13 @@ def sample_positions(config, count, seed, index=0):
     """Draw i.i.d. positions from the anisotropic Gaussian cloud (w_r, w_r, w_z)."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    rng = philox_stream(seed, _STAGE_CLOUD, index)
+    return _cloud(config, int(count), philox_stream(seed, _STAGE_CLOUD, index))
+
+
+def _cloud(config, count, rng):
+    """`count` positions drawn from rng, the cloud stream of a trial."""
     scale = np.array([config.cloud_wr, config.cloud_wr, config.cloud_wz])
-    positions = rng.normal(0.0, 1.0, size=(int(count), 3)) * scale
-    return CloudSample(positions=positions)
+    return CloudSample(positions=rng.normal(0.0, 1.0, size=(count, 3)) * scale)
 
 
 @dataclass(frozen=True)
@@ -147,21 +150,23 @@ def write_polaritons(cloud, r_o):
                        n_candidates=len(candidates))
 
 
-def _written_register(config, pair_coeffs, seed, trial, min_candidates=0):
-    """The blockaded write of one trial, drawn from that trial's streams.
+def _written_register(config, r_o, seed, trial, bit_generator, min_candidates=0):
+    """The blockaded write of one trial at blockade radius r_o, from that trial's streams.
 
-    Returns None, without sampling the cloud, when fewer than min_candidates
-    candidates are drawn: such a write cannot store min_candidates polaritons.
+    The streams are drawn by re-keying the caller's np.random.Philox, with
+    the draws of philox_stream and sample_positions.  Returns None, without
+    sampling the cloud, when fewer than min_candidates candidates are drawn:
+    such a write cannot store min_candidates polaritons.
     """
-    n_candidates = int(philox_stream(seed, _STAGE_CANDIDATES, trial)
+    n_candidates = int(_rekeyed_stream(bit_generator, seed, _STAGE_CANDIDATES, trial)
                        .poisson(config.mean_input_photons * WRITE_EFFICIENCY))
     if n_candidates < min_candidates:
         return None
     if n_candidates == 0:
         return WriteResult(polariton_positions=np.empty((0, 3)), n_polaritons=0,
                            n_candidates=0)
-    cloud = sample_positions(config, n_candidates, seed, index=trial)
-    r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
+    cloud = _cloud(config, n_candidates,
+                   _rekeyed_stream(bit_generator, seed, _STAGE_CLOUD, trial))
     return write_polaritons(cloud, r_o)
 
 
@@ -237,6 +242,12 @@ def _check_pulse(config, pulse_duration):
             f"got {pulse_duration!r}")
 
 
+def _check_shot(config, omega_mu, pulse_duration):
+    if not (math.isfinite(omega_mu) and omega_mu >= 0):
+        raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
+    _check_pulse(config, pulse_duration)
+
+
 def simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=0):
     """One store-rotate-retrieve trial; returns the detected photon count.
 
@@ -249,32 +260,38 @@ def simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=0):
     of N independent emitters (g2(0) = 1 - 1/N).  Detection thinning and
     Poisson background in the gate window follow.
     """
-    if not (math.isfinite(omega_mu) and omega_mu >= 0):
-        raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
-    _check_pulse(config, pulse_duration)
-    write = _written_register(config, pair_coeffs, seed, trial)
-    n = write.n_polaritons
-    return_probability = _register_return_probability(
-        write.polariton_positions, omega_mu, pair_coeffs.c3, pulse_duration)
-    rng = philox_stream(seed, _STAGE_DETECT, trial)
-    detected = 0
-    if n:
-        per_polariton = return_probability * BASE_RETRIEVAL_EFFICIENCY
-        retrieved = rng.binomial(n, per_polariton)
-        detected = rng.binomial(retrieved, config.detection_efficiency)
-    background = rng.poisson(config.background_rate * config.window_duration)
-    return int(detected + background)
+    _check_shot(config, omega_mu, pulse_duration)
+    return _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, [trial])[0]
 
 
 def _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, trials):
-    return [simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=t)
-            for t in trials.tolist()]
+    """Detected counts of the given trials (see simulate_shot), inputs already checked.
+
+    The chunk's streams are drawn from one re-keyed bit generator.
+    """
+    r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
+    background_mean = config.background_rate * config.window_duration
+    bit_generator = np.random.Philox()
+    counts = []
+    for trial in np.asarray(trials).tolist():
+        write = _written_register(config, r_o, seed, trial, bit_generator)
+        n = write.n_polaritons
+        return_probability = _register_return_probability(
+            write.polariton_positions, omega_mu, pair_coeffs.c3, pulse_duration)
+        rng = _rekeyed_stream(bit_generator, seed, _STAGE_DETECT, trial)
+        detected = 0
+        if n:
+            retrieved = rng.binomial(n, return_probability * BASE_RETRIEVAL_EFFICIENCY)
+            detected = rng.binomial(retrieved, config.detection_efficiency)
+        counts.append(int(detected + rng.poisson(background_mean)))
+    return counts
 
 
 def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threads=1):
     """Detected photon counts for `trials` independent shots (trial-indexed streams)."""
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _check_shot(config, omega_mu, pulse_duration)
     counts = _map_blocks(
         partial(_shot_chunk, config, pair_coeffs, omega_mu, pulse_duration, seed),
         np.arange(trials), threads if trials >= 64 else 1)
@@ -546,7 +563,9 @@ def _scan_geometries(config, pair_coeffs, count, seed, n_polaritons=None):
     n_polaritons is skipped without sampling its cloud.
     """
     budget = 10000 * count
-    writes = (_written_register(config, pair_coeffs, seed, attempt,
+    r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
+    bit_generator = np.random.Philox()
+    writes = (_written_register(config, r_o, seed, attempt, bit_generator,
                                 min_candidates=n_polaritons or 0)
               for attempt in range(budget))
     kept = (w for w in writes

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import rydpol.interactions as interactions
 from rydpol.collective import retrieval_probability
@@ -633,6 +634,94 @@ class TestParitySplit:
             w, v = eigenspectrum(matrix, return_vectors=True)
         dense_w, dense_v = np.linalg.eigh(matrix)
         assert np.array_equal(w, dense_w) and np.array_equal(v, dense_v)
+
+def planted(kind, seed=3, dim=8):
+    """A random real symmetric matrix, with one defect of the given kind planted."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim))
+    h = x + x.T
+    if kind == "nan":
+        h[1, 2] = np.nan
+    elif kind == "+inf":
+        h[1, 2] = np.inf
+    elif kind == "-inf":
+        h[2, 2] = -np.inf
+    elif kind == "asymmetric":
+        h[1, 2] += 2e-12 * np.abs(h).max()
+    elif kind == "complex non-Hermitian":
+        h = h + 1j * rng.normal(size=(dim, dim))
+    return h
+
+
+class TestCheckedSolveRejects:
+    """The checks reject the same inputs for one matrix and for a stack."""
+
+    @pytest.mark.parametrize("kind, message", [
+        ("nan", "non-finite"), ("+inf", "non-finite"), ("-inf", "non-finite"),
+        ("asymmetric", "not Hermitian"), ("complex non-Hermitian", "not Hermitian")])
+    @pytest.mark.parametrize("shape", ["single", "stack"])
+    def test_defect_rejected(self, kind, message, shape):
+        bad = planted(kind)
+        if shape == "stack":
+            good = planted(None, seed=4).astype(bad.dtype)
+            bad = np.stack([good, bad, good])
+        for check_vectors in (True, False):
+            with pytest.raises(ValueError, match=message):
+                _checked_eigh(bad, check_vectors=check_vectors)
+        if shape == "single":
+            with pytest.raises(ValueError, match=message):
+                eigenspectrum(bad)
+            with pytest.raises(ValueError, match=message):
+                time_evolve(bad, np.eye(8)[0], 0.1)
+        elif not np.iscomplexobj(bad):
+            with pytest.raises(ValueError, match=message):
+                interactions._all_s_return_probabilities(bad, 0.1)
+
+    @pytest.mark.parametrize("shape", ["single", "stack"])
+    def test_tolerated_inputs_accepted(self, shape):
+        # asymmetry below 1e-12 relative, and a complex Hermitian matrix
+        near = planted(None)
+        near[1, 2] += 0.5e-12 * np.abs(near).max()
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        for h in (near, x + x.conj().T):
+            stack = h if shape == "single" else np.stack([h, h])
+            w, v = _checked_eigh(stack)
+            assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * np.abs(w).max()
+
+
+def spaced_register(n, seed):
+    """n sites along z at least R_O apart, as a blockaded write stores them."""
+    rng = np.random.default_rng(seed)
+    z = np.cumsum(R_O * (1.0 + rng.uniform(0.0, 1.0, n)))
+    return np.column_stack([rng.normal(0, 5.0, n), rng.normal(0, 5.0, n), z])
+
+
+class TestTimeEvolveAgainstExpm:
+    """time_evolve equals scipy's matrix exponential applied to psi0."""
+
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1), st.floats(0.1, 20.0),
+           st.floats(0.01, 0.3), st.sampled_from([0, None]))
+    @settings(max_examples=40, deadline=None)
+    def test_pi_sector_registers(self, n, seed, omega, t, threshold):
+        h = build_pi_sector_hamiltonian(spaced_register(n, seed), omega, C3)
+        psi0 = np.zeros(2 ** n)
+        psi0[0] = 1.0
+        limit = interactions._SPLIT_MIN_ENTRIES if threshold is None else threshold
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", limit):
+            psi = time_evolve(h, psi0, t)
+        assert np.abs(psi - expm(-2j * np.pi * t * h)[:, 0]).max() <= 1e-12
+
+    def test_complex_hermitian_matrix(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = 5.0 * (x + x.conj().T)
+        assert not _centrosymmetric(h)
+        raw = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi0 = raw / np.linalg.norm(raw)
+        psi = time_evolve(h, psi0, 0.17)
+        assert np.abs(psi - expm(-2j * np.pi * 0.17 * h) @ psi0).max() <= 1e-12
+
 
 class TestPairEigenscan:
     def test_shapes_and_radii(self):

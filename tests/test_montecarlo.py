@@ -28,8 +28,10 @@ import rydpol.interactions as interactions
 import rydpol.montecarlo as montecarlo
 from rydpol.montecarlo import (
     BASE_RETRIEVAL_EFFICIENCY,
+    WRITE_EFFICIENCY,
     _register_return_probability,
     _scan_return_probabilities,
+    _shot_chunk,
     _worker_count,
     _written_register,
     ClickRecord,
@@ -50,6 +52,7 @@ from rydpol.montecarlo import (
     simulate_shot,
     write_polaritons,
 )
+from rydpol.rng import philox_stream
 
 CFG = ExperimentConfig()
 R_O = optical_blockade_radius(RB60_PAIR.c6, CFG.eit_width)
@@ -64,6 +67,12 @@ def sequential_write(positions, r_o):
         if all(np.linalg.norm(point - prior) >= r_o for prior in accepted):
             accepted.append(point)
     return np.array(accepted, dtype=float).reshape(-1, 3)
+
+
+def trial_writes(config, seed, trials):
+    """_written_register of each trial, one bit generator for all, as the shot path draws them."""
+    bit_generator = np.random.Philox()
+    return (_written_register(config, R_O, seed, t, bit_generator) for t in trials)
 
 
 class TestCloudSampling:
@@ -171,8 +180,7 @@ class TestBlockadedWrite:
         # Write-stage calibration: Poisson candidates thinned by the
         # hard-sphere blockade at the default geometry store about three
         # polaritons on average (measured 3.04 +/- 0.02 at this seed).
-        ns = np.array([_written_register(CFG, RB60_PAIR, 7, t).n_polaritons
-                       for t in range(10_000)])
+        ns = np.array([w.n_polaritons for w in trial_writes(CFG, 7, range(10_000))])
         assert 2.5 <= ns.mean() <= 3.7
 
     def test_write_result_validation(self):
@@ -196,8 +204,7 @@ class TestSimulateShot:
         # mean detected count is BASE_RETRIEVAL_EFFICIENCY times the mean
         # stored number (z-test against the write-stage estimate).
         counts = run_shots(IDEAL, RB60_PAIR, 0.0, 0.0, 20_000, 3)
-        ns = np.array([_written_register(IDEAL, RB60_PAIR, 3, t).n_polaritons
-                       for t in range(20_000)])
+        ns = np.array([w.n_polaritons for w in trial_writes(IDEAL, 3, range(20_000))])
         expected = BASE_RETRIEVAL_EFFICIENCY * ns.mean()
         sem = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - expected) < 3.0 * sem
@@ -237,6 +244,79 @@ class TestSimulateShot:
             simulate_shot(CFG, RB60_PAIR, -5.0, 0.1, 1)
         with pytest.raises(ValueError, match="trials"):
             run_shots(CFG, RB60_PAIR, 10.0, 0.1, 0, 1)
+
+    @pytest.mark.parametrize("omega, pulse, message", [
+        (-5.0, 0.1, "omega_mu"), (math.nan, 0.1, "omega_mu"), (math.inf, 0.1, "omega_mu"),
+        (10.0, -0.01, "pulse_duration"), (10.0, CFG.storage_time + 0.1, "pulse_duration"),
+        (10.0, math.nan, "pulse_duration")])
+    def test_run_shots_checks_inputs_before_starting_a_pool(self, monkeypatch, omega, pulse,
+                                                             message):
+        # No process is started: a pool that fails when it is built stands in.
+        def refused(*args, **kwargs):
+            raise AssertionError("run_shots started a worker pool")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        with pytest.raises(ValueError, match=message):
+            run_shots(CFG, RB60_PAIR, omega, pulse, 128, 1, threads=4)
+
+
+class TestShotStreams:
+    """The shot path re-keys one bit generator; its draws are those of fresh streams."""
+
+    @staticmethod
+    def reference_write(config, seed, trial):
+        """A trial's stored positions, from the public streams, cloud and write alone."""
+        n = int(philox_stream(seed, montecarlo._STAGE_CANDIDATES, trial)
+                .poisson(config.mean_input_photons * WRITE_EFFICIENCY))
+        if n == 0:
+            return np.empty((0, 3))
+        return write_polaritons(sample_positions(config, n, seed, index=trial),
+                                R_O).polariton_positions
+
+    def reference_count(self, config, omega, t, seed, trial):
+        positions = self.reference_write(config, seed, trial)
+        p = _register_return_probability(positions, omega, RB60_PAIR.c3, t)
+        rng = philox_stream(seed, montecarlo._STAGE_DETECT, trial)
+        detected = 0
+        if len(positions):
+            retrieved = rng.binomial(len(positions), p * BASE_RETRIEVAL_EFFICIENCY)
+            detected = rng.binomial(retrieved, config.detection_efficiency)
+        return detected + rng.poisson(config.background_rate * config.window_duration)
+
+    def test_writes_match_fresh_streams(self):
+        trials = range(400)
+        expected = [self.reference_write(CFG, 17, t) for t in trials]
+        for got, want in zip(trial_writes(CFG, 17, trials), expected, strict=True):
+            assert np.array_equal(got.polariton_positions, want)
+        assert sum(len(w) for w in expected) > 400
+
+    def test_counts_match_fresh_streams(self):
+        # a drive strong enough to rotate, and a brighter detector, so that
+        # counts are not all background
+        config = replace(CFG, detection_efficiency=1.0)
+        expected = [self.reference_count(config, 6.0, 0.05, 29, t) for t in range(300)]
+        counts = run_shots(config, RB60_PAIR, 6.0, 0.05, 300, 29)
+        assert counts.tolist() == expected
+        assert [simulate_shot(config, RB60_PAIR, 6.0, 0.05, 29, trial=t)
+                for t in range(0, 300, 37)] == expected[::37]
+        assert counts.sum() > 0
+
+    def test_interleaved_calls_change_nothing(self):
+        # two shots' writes alternate on two bit generators, then on one
+        first, second = np.random.Philox(), np.random.Philox()
+        for a, b in [(5, 8), (11, 3)]:
+            for bit_generators in [(first, second), (first, first)]:
+                write_a = _written_register(CFG, R_O, 41, a, bit_generators[0])
+                write_b = _written_register(CFG, R_O, 41, b, bit_generators[1])
+                assert np.array_equal(write_a.polariton_positions,
+                                      self.reference_write(CFG, 41, a))
+                assert np.array_equal(write_b.polariton_positions,
+                                      self.reference_write(CFG, 41, b))
+        # one chunk's shared bit generator: order and repeats do not matter
+        trials = [7, 3, 7, 12, 3]
+        chunk = _shot_chunk(CFG, RB60_PAIR, 6.0, 0.05, 41, trials)
+        assert chunk == [simulate_shot(CFG, RB60_PAIR, 6.0, 0.05, 41, trial=t) for t in trials]
 
 
 class TestClickStream:
@@ -519,14 +599,15 @@ class TestRabiScan:
         # store it, so it is neither sampled nor written; the registers are
         # still the first matching writes in attempt order.
         calls = []
+        cloud = montecarlo._cloud
 
-        def counting(config, count, seed, index=0):
+        def counting(config, count, rng):
             calls.append(count)
-            return sample_positions(config, count, seed, index)
+            return cloud(config, count, rng)
 
-        with patch.object(montecarlo, "sample_positions", counting):
+        with patch.object(montecarlo, "_cloud", counting):
             registers = montecarlo._scan_geometries(CFG, RB60_PAIR, 25, 31, n_polaritons=3)
-        writes = (_written_register(CFG, RB60_PAIR, 31, attempt) for attempt in range(10_000))
+        writes = trial_writes(CFG, 31, range(10_000))
         expected = [w for w in writes if w.n_polaritons == 3][:25]
         assert len(registers) == 25
         for got, want in zip(registers, expected):
