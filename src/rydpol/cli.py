@@ -179,7 +179,7 @@ def _cmd_rabi_scan(args):
 def _cmd_g2(args):
     config = _resolve_config(args)
     drift = None
-    if args.drift_std > 0.0:
+    if args.drift_std != 0.0:
         drift = DriftSpec.from_relative_std(args.drift_std, rng_seed=args.seed)
     result = simulate_hbt_run(config, args.trials, args.seed,
                               n_emitters=args.n_emitters,
@@ -348,7 +348,7 @@ def build_parser():
     sub.add_argument("--n-emitters", type=int, default=3)
     sub.add_argument("--detection-prob", type=float, default=0.35)
     sub.add_argument("--drift-std", type=float, default=0.0,
-                     help="relative std of slow efficiency drift")
+                     help="relative std of slow efficiency drift (>= 0)")
     sub.add_argument("--max-delay", type=int, default=60,
                      help="correlation range in pulse indices")
     _add_common(sub, seeded=True)

@@ -113,23 +113,42 @@ def _any(flags):
     return bool(flags.any() if flags.ndim else flags)
 
 
+#: Rows per block in _check_hermitian, which bounds its temporaries at this
+#: many rows of each matrix.
+_HERMITIAN_CHECK_ROWS = 64
+
+
+def _blocked_max(parts):
+    """Largest entry of each matrix over a sequence of row blocks; NaN propagates."""
+    return functools.reduce(np.maximum, [part.max(axis=(-2, -1), initial=0.0)
+                                         for part in parts])
+
+
 def _check_hermitian(matrix, what):
     """Raise unless `matrix` (or each matrix of a stack) is finite and Hermitian.
 
-    Hermitian means max|H - H^dag| <= 1e-12 max|H| for each matrix.  The
-    finite test reads max|H|, since a max propagates NaN and inf.  A real
-    matrix is compared with its transpose, and H - H^T is antisymmetric, so
-    its largest entry is its largest |entry|: the comparison needs no
-    conjugate or absolute-value copy.
+    Hermitian means max|H - H^dag| <= 1e-12 max|H| for each matrix.  Both
+    maxima are taken over blocks of _HERMITIAN_CHECK_ROWS rows, so no
+    temporary is larger than one block.  The finite test reads max|H|, since
+    a max propagates NaN and inf.  A real matrix is compared with its
+    transpose, and H - H^T is antisymmetric, so its largest entry over all
+    blocks is its largest |entry|: the comparison needs no conjugate or
+    absolute-value copy.
     """
-    axes = (-2, -1)
-    scale = np.abs(matrix).max(axis=axes, initial=0.0)
+    size = matrix.shape[-1]
+    if size <= _HERMITIAN_CHECK_ROWS:
+        blocks = [(matrix, matrix.swapaxes(-2, -1))]
+    else:
+        blocks = [(matrix[..., top:top + _HERMITIAN_CHECK_ROWS, :],
+                   matrix[..., :, top:top + _HERMITIAN_CHECK_ROWS].swapaxes(-2, -1))
+                  for top in range(0, size, _HERMITIAN_CHECK_ROWS)]
+    scale = _blocked_max(np.abs(rows) for rows, _ in blocks)
     if _any(~np.isfinite(scale)):
         raise ValueError(f"{what} has non-finite entries")
     if matrix.dtype.kind == "c":
-        skew = np.abs(matrix - matrix.swapaxes(-2, -1).conj()).max(axis=axes, initial=0.0)
+        skew = _blocked_max(np.abs(rows - mirror.conj()) for rows, mirror in blocks)
     else:
-        skew = (matrix - matrix.swapaxes(-2, -1)).max(axis=axes, initial=0.0)
+        skew = _blocked_max(rows - mirror for rows, mirror in blocks)
     if _any(skew > _HERMITICITY_RTOL * scale):
         raise ValueError(f"{what} is not Hermitian")
 

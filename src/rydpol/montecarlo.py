@@ -235,6 +235,11 @@ def _map_blocks(func, items, threads):
         return np.concatenate(list(pool.map(func, np.array_split(items, workers))))
 
 
+def _check_trials(trials):
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
 def _check_pulse(config, pulse_duration):
     if not (math.isfinite(pulse_duration) and 0 <= pulse_duration <= config.storage_time):
         raise ValueError(
@@ -289,8 +294,7 @@ def _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, trials):
 
 def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threads=1):
     """Detected photon counts for `trials` independent shots (trial-indexed streams)."""
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _check_trials(trials)
     _check_shot(config, omega_mu, pulse_duration)
     counts = _map_blocks(
         partial(_shot_chunk, config, pair_coeffs, omega_mu, pulse_duration, seed),
@@ -300,6 +304,29 @@ def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threa
 
 # --------------------------------------------------------------------------
 # Detector clicks
+
+#: Code points of the two detector labels, stored as one-character strings.
+_DETECTOR_A = ord("A")
+_LABEL_DTYPE = np.dtype("<U1")
+
+
+def _detector_codes(detectors):
+    """Code points (uint32) of detector labels; raises unless every label is 'A' or 'B'.
+
+    A '<U1' array is read through a uint32 view, with no string comparison;
+    any other array or sequence is compared as labels first.
+    """
+    labels = np.asarray(detectors)
+    if labels.dtype != _LABEL_DTYPE:
+        if not np.all(np.isin(labels, ("A", "B"))):
+            raise ValueError("detectors must be 'A' or 'B'")
+        labels = labels.astype(_LABEL_DTYPE)
+    codes = labels.view(np.uint32)
+    # the empty label reads as code 0, which wraps past 1 here
+    if np.any(codes - np.uint32(_DETECTOR_A) > 1):
+        raise ValueError("detectors must be 'A' or 'B'")
+    return codes
+
 
 @dataclass(frozen=True)
 class ClickRecord:
@@ -316,17 +343,34 @@ class ClickRecord:
         detectors = np.asarray(self.detectors)
         if times.shape != detectors.shape or times.ndim != 1:
             raise ValueError("times and detectors must be matching 1-d arrays")
-        if times.size and (not np.all(np.isfinite(times)) or times.min() < 0):
+        # min and max propagate NaN, so the comparisons fail on it
+        if times.size and not (times.min() >= 0 and times.max() < math.inf):
             raise ValueError("event times must be finite and non-negative")
-        if times.size and np.any(np.diff(times) < 0):
+        if np.any(times[1:] < times[:-1]):
             raise ValueError("event times must be sorted")
-        if not np.all(np.isin(detectors, ("A", "B"))):
-            raise ValueError("detectors must be 'A' or 'B'")
+        _detector_codes(detectors)
         start, end = self.window
         if not (0 <= start < end <= self.repetition_period):
             raise ValueError(f"window {self.window} must lie inside one period")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "detectors", detectors)
+
+
+def _pulse_index(times, period):
+    """np.floor_divide(times, period), as floats, for times >= 0 and period > 0.
+
+    floor(times / period) is exact wherever the rounded quotient is not a
+    whole number: rounding is monotone and cannot carry a quotient past a
+    whole number it does not land on.  floor_divide then agrees, as it
+    returns the exact floor for quotients below 2^50.  Quotients that land
+    on a whole number (an event at a period boundary) take floor_divide.
+    """
+    quotient = times / period
+    index = np.floor(quotient)
+    whole = quotient == index
+    if whole.any():
+        index[whole] = np.floor_divide(times[whole], period)
+    return index
 
 
 def generate_click_stream(config, per_trial_photon_counts, seed):
@@ -339,34 +383,40 @@ def generate_click_stream(config, per_trial_photon_counts, seed):
     counts = np.asarray(per_trial_photon_counts)
     if counts.ndim != 1 or counts.size < 1:
         raise ValueError("per_trial_photon_counts must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(counts.astype(float))) or np.any(counts < 0):
+    finite = counts.dtype.kind in "iub" or np.all(np.isfinite(counts.astype(float)))
+    if not finite or np.any(counts < 0):
         raise ValueError("photon counts must be finite and non-negative")
-    counts = counts.astype(np.int64)
+    counts = counts.astype(np.int64, copy=False)
     n_trials = counts.size
     rng = philox_stream(seed, _STAGE_CLICKS)
     start, end = config.retrieval_window
     center = 0.5 * (start + end)
     sigma = RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    pulse_starts = np.arange(n_trials, dtype=float)
+    pulse_starts *= config.repetition_period
 
-    trial_of_signal = np.repeat(np.arange(n_trials), counts)
-    signal_offsets = rng.normal(center, sigma, size=trial_of_signal.size)
-    outside = (signal_offsets < start) | (signal_offsets >= end)
+    # each event's time is its pulse start plus its offset in the window
+    signal = rng.normal(center, sigma, size=int(counts.sum()))
+    outside = (signal < start) | (signal >= end)
     while np.any(outside):
-        signal_offsets[outside] = rng.normal(center, sigma, size=int(outside.sum()))
-        outside = (signal_offsets < start) | (signal_offsets >= end)
+        signal[outside] = rng.normal(center, sigma, size=int(outside.sum()))
+        outside = (signal < start) | (signal >= end)
+    del outside
+    signal += np.repeat(pulse_starts, counts)
 
     background_counts = rng.poisson(config.background_rate * config.window_duration,
                                     size=n_trials)
-    trial_of_background = np.repeat(np.arange(n_trials), background_counts)
-    background_offsets = rng.uniform(start, end, size=trial_of_background.size)
+    background = rng.uniform(start, end, size=int(background_counts.sum()))
+    background += np.repeat(pulse_starts, background_counts)
+    del pulse_starts, background_counts
 
-    trials_all = np.concatenate([trial_of_signal, trial_of_background])
-    offsets_all = np.concatenate([signal_offsets, background_offsets])
-    times = trials_all * config.repetition_period + offsets_all
-    sides = rng.integers(0, 2, size=times.size)
+    times = np.concatenate([signal, background])
+    del signal, background
     order = np.argsort(times, kind="stable")
-    detectors = np.where(sides == 0, "A", "B")
-    return ClickRecord(times=times[order], detectors=detectors[order],
+    times = times[order]
+    codes = rng.integers(0, 2, size=times.size).astype(np.uint32)
+    codes += _DETECTOR_A
+    return ClickRecord(times=times, detectors=codes[order].view(_LABEL_DTYPE),
                        n_trials=int(n_trials), window=(float(start), float(end)),
                        repetition_period=float(config.repetition_period))
 
@@ -394,44 +444,92 @@ class G2Result:
             raise ValueError("statistical error must be positive where counts exist")
 
 
-def hbt_g2(clicks, max_delay=60, norm_range=(5, 50)):
+#: hbt_g2's default normalization range, in pulse-index delays.
+_NORM_RANGE = (5, 50)
+
+#: Pulses per row in hbt_g2's blocked correlation.
+_CORRELATION_ROW = 64
+
+
+def _check_delays(max_delay, n_trials, norm_range):
+    k_lo, k_hi = norm_range
+    if not (0 < k_lo <= k_hi):
+        raise ValueError(f"invalid normalization range {norm_range!r}")
+    if not isinstance(max_delay, (int, np.integer)):
+        raise ValueError(f"max_delay must be an integer, got {max_delay!r}")
+    if max_delay < k_hi:
+        raise ValueError(
+            f"max_delay {max_delay!r} must cover the normalization range {norm_range!r}")
+    if max_delay >= n_trials:
+        raise ValueError(
+            f"max_delay {max_delay!r} exceeds the number of trials ({n_trials})")
+
+
+def _cross_correlation(counts_a, counts_b, max_delay):
+    """C_k = sum_i a_i b_(i+k) for |k| <= max_delay, from whole rows of pulses.
+
+    a and b are zero-padded to rows of _CORRELATION_ROW pulses.  Summed over
+    rows r, the product A[r]^T B[r + d] of the row offset d holds at entry
+    (p, q) the pairs at delay k = d * row + q - p, so C_k adds up diagonals
+    of the ceil(max_delay / row) offsets on each side.  The counts are
+    integers and every partial sum stays below 2^53, so the sums are exact
+    in any order; extra memory is one row x row product per offset.
+    """
+    row = _CORRELATION_ROW
+    a = counts_a.reshape(-1, row)
+    b = counts_b.reshape(-1, row)
+    rows = a.shape[0]
+    reach = -(-max_delay // row)
+    # diagonal q - p of each entry, shifted to [0, 2 * row - 2]
+    diagonal = (np.arange(row) - np.arange(row)[:, None] + row - 1).ravel()
+    span = reach * row + row - 1      # the largest |k| any offset reaches
+    sums = np.zeros(2 * span + 1)
+    for d in range(-reach, reach + 1):
+        if d >= 0:
+            product = a[:rows - d].T @ b[d:]
+        else:
+            product = a[-d:].T @ b[:rows + d]
+        first = span + d * row - (row - 1)
+        sums[first:first + 2 * row - 1] += np.bincount(
+            diagonal, weights=product.ravel(), minlength=2 * row - 1)
+    return sums[span - max_delay:span + max_delay + 1]
+
+
+def hbt_g2(clicks, max_delay=60, norm_range=_NORM_RANGE):
     """Cross-detector coincidences binned by pulse-index difference.
 
     g2(k*T) = C_k / C_norm where C_norm is the mean per-pair coincidence
     rate over side peaks with |k| inside norm_range.  side_peak_level
     reports that normalization relative to the fully uncorrelated rate
     (mean_A * mean_B), which rises as 1 + Var/Mean^2 under slow efficiency
-    drift while leaving the normalized bins untouched.
+    drift while leaving the normalized bins untouched.  The coincidence
+    counts C_k are exact integers (see _cross_correlation).
     """
     if clicks.times.size < 2:
         raise ValueError("need at least two events to correlate")
-    k_lo, k_hi = norm_range
-    if not (0 < k_lo <= k_hi):
-        raise ValueError(f"invalid normalization range {norm_range!r}")
-    if max_delay < k_hi:
-        raise ValueError("max_delay must cover the normalization range")
     n_trials = clicks.n_trials
-    pulse_index = np.floor_divide(clicks.times, clicks.repetition_period).astype(int)
-    in_range = pulse_index < n_trials
-    pulse_index = pulse_index[in_range]
-    side = clicks.detectors[in_range]
-    counts_a = np.bincount(pulse_index[side == "A"], minlength=n_trials).astype(float)
-    counts_b = np.bincount(pulse_index[side == "B"], minlength=n_trials).astype(float)
+    _check_delays(max_delay, n_trials, norm_range)
+    k_lo, k_hi = norm_range
+    max_delay = int(max_delay)
+    # per-pulse counts of detector A in row 0 and of B in row 1, zero-padded
+    # to whole correlation rows; pulses past the run are clamped to n_trials
+    # and zeroed with the padding
+    padded = -(-n_trials // _CORRELATION_ROW) * _CORRELATION_ROW
+    keys = _pulse_index(clicks.times, clicks.repetition_period).astype(np.int64)
+    np.minimum(keys, n_trials, out=keys)
+    np.add(keys, padded + 1, out=keys,
+           where=_detector_codes(clicks.detectors) != _DETECTOR_A)
+    counts = np.zeros((2, padded + 1))
+    np.add.at(counts.reshape(-1), keys, 1.0)
+    del keys
+    counts[:, n_trials:] = 0.0
+    counts_a, counts_b = counts[:, :padded]
 
-    if int(max_delay) >= n_trials:
-        raise ValueError("max_delay exceeds the number of trials")
-    ks = np.arange(-int(max_delay), int(max_delay) + 1)
-    coincidences = np.empty(ks.size)
-    pairs_available = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        if k >= 0:
-            coincidences[i] = counts_a[: n_trials - k] @ counts_b[k:]
-        else:
-            coincidences[i] = counts_a[-k:] @ counts_b[: n_trials + k]
-        pairs_available[i] = n_trials - abs(k)
+    ks = np.arange(-max_delay, max_delay + 1)
+    coincidences = _cross_correlation(counts_a, counts_b, max_delay)
+    pairs_available = (n_trials - np.abs(ks)).astype(float)
 
     rate = coincidences / pairs_available
-    rate_err = np.sqrt(coincidences) / pairs_available
     in_norm = (np.abs(ks) >= k_lo) & (np.abs(ks) <= k_hi)
     norm = float(np.mean(rate[in_norm]))
     if norm <= 0:
@@ -447,8 +545,8 @@ def hbt_g2(clicks, max_delay=60, norm_range=(5, 50)):
                                              where=coincidences > 0)
                                    + relative_norm ** 2),
                       0.0)
-    zero_bin = int(np.flatnonzero(ks == 0)[0])
-    uncorrelated = float(np.mean(counts_a) * np.mean(counts_b))
+    zero_bin = max_delay
+    uncorrelated = float(np.mean(counts_a[:n_trials]) * np.mean(counts_b[:n_trials]))
     side_level = norm / uncorrelated if uncorrelated > 0 else math.inf
     return G2Result(tau_bins=ks * clicks.repetition_period, g2=g2,
                     statistical_error=g2_err,
@@ -492,22 +590,31 @@ class DriftSpec:
     @classmethod
     def from_relative_std(cls, relative_std, rng_seed=0):
         """Spec whose efficiency time series has the given Var^0.5/Mean."""
+        if not relative_std >= 0:
+            raise ValueError(f"drift relative std must be >= 0, got {relative_std!r}")
         return cls(amplitude=relative_std * math.sqrt(2.0), rng_seed=rng_seed)
 
     def modulation(self, trial_indices):
         """Relative efficiency (1 + m_t) / (1 + amplitude), in (0, 1]."""
-        t = np.asarray(trial_indices, dtype=float)
-        m = self.amplitude * np.sin(2.0 * math.pi * t / DRIFT_PERIOD_TRIALS)
-        return (1.0 + m) / (1.0 + self.amplitude)
+        series = np.array(trial_indices, dtype=float)
+        series *= 2.0 * math.pi
+        series /= DRIFT_PERIOD_TRIALS
+        np.sin(series, out=series)
+        series *= self.amplitude
+        series += 1.0
+        series /= 1.0 + self.amplitude
+        return series[()]   # a scalar for a scalar index
 
 
 def efficiency_drift_model(clicks, drift_spec):
     """Thin a click record by a slowly varying per-trial efficiency."""
-    trial_of_event = np.floor_divide(clicks.times, clicks.repetition_period).astype(int)
-    keep_probability = drift_spec.modulation(trial_of_event)
+    keep_probability = drift_spec.modulation(
+        _pulse_index(clicks.times, clicks.repetition_period))
     rng = philox_stream(drift_spec.rng_seed, _STAGE_DRIFT)
-    keep = rng.random(clicks.times.size) < keep_probability
-    return replace(clicks, times=clicks.times[keep], detectors=clicks.detectors[keep])
+    kept = np.flatnonzero(rng.random(clicks.times.size) < keep_probability)
+    del keep_probability
+    return replace(clicks, times=clicks.times.take(kept),
+                   detectors=clicks.detectors.take(kept))
 
 
 # --------------------------------------------------------------------------
@@ -519,6 +626,7 @@ def emitter_photon_counts(n_emitters, detection_prob, trials, seed):
         raise ValueError(f"n_emitters must be a positive integer, got {n_emitters!r}")
     if not (0.0 <= detection_prob <= 1.0):
         raise ValueError(f"detection_prob must be in [0, 1], got {detection_prob!r}")
+    _check_trials(trials)
     rng = philox_stream(seed, _STAGE_EMITTER)
     return rng.binomial(int(n_emitters), detection_prob, size=int(trials))
 
@@ -527,6 +635,7 @@ def poisson_photon_counts(mean, trials, seed):
     """Per-trial counts from a coherent (Poissonian) source."""
     if not (math.isfinite(mean) and mean >= 0):
         raise ValueError(f"mean must be non-negative, got {mean!r}")
+    _check_trials(trials)
     rng = philox_stream(seed, _STAGE_EMITTER)
     return rng.poisson(mean, size=int(trials))
 
@@ -534,9 +643,14 @@ def poisson_photon_counts(mean, trials, seed):
 def simulate_hbt_run(config, trials, seed, n_emitters=3,
                      detection_prob=EMITTER_DETECTION_PROB, drift=None,
                      max_delay=60):
-    """Counts -> clicks -> (optional drift) -> g2 for an emitter-model run."""
-    counts = emitter_photon_counts(n_emitters, detection_prob, trials, seed)
-    clicks = generate_click_stream(config, counts, seed)
+    """Counts -> clicks -> (optional drift) -> g2 for an emitter-model run.
+
+    The trial count and delay range are checked before anything is drawn.
+    """
+    _check_trials(trials)
+    _check_delays(max_delay, trials, _NORM_RANGE)
+    clicks = generate_click_stream(
+        config, emitter_photon_counts(n_emitters, detection_prob, trials, seed), seed)
     if drift is not None:
         clicks = efficiency_drift_model(clicks, drift)
     return hbt_g2(clicks, max_delay=max_delay)

@@ -69,6 +69,14 @@ class TestExitCodes:
         assert "rydpol: error: n_polaritons" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_negative_drift_std_is_computation_error(self, tmp_path, capsys):
+        code = run_cli("g2", "--drift-std", "-0.1", "--trials", 1000,
+                       "--output-dir", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rydpol: error: ") and "-0.1" in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_input_file_is_computation_error(self, tmp_path, capsys):
         code = run_cli("fit", "--model", "lorentzian",
                        "--input", tmp_path / "nope.csv",

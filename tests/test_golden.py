@@ -9,7 +9,8 @@ behaviour (a faster kernel, a refactor) shows any drift:
     to 1e-12, from the single-register and from the batched scan kernel,
   * ``simulate_rabi_scan`` mean counts of one conditioned and one
     unconditioned scan, exactly,
-  * ``run_shots`` counts for one seed, exactly.
+  * ``run_shots`` counts for one seed, exactly,
+  * every ``G2Result`` field of one drifted ``simulate_hbt_run``, exactly.
 
 Record it again only for a change that is meant to alter these outputs:
 
@@ -25,10 +26,12 @@ import pytest
 
 from rydpol.config import ExperimentConfig, RB60_PAIR
 from rydpol.montecarlo import (
+    DriftSpec,
     _register_return_probability,
     _scan_geometries,
     _scan_return_probabilities,
     run_shots,
+    simulate_hbt_run,
     simulate_rabi_scan,
 )
 
@@ -50,6 +53,7 @@ SCANS = {
                           geometry_samples=40),
 }
 SHOTS = dict(omega_mu=2.0, pulse_duration=0.15, trials=1000, seed=5)
+HBT = dict(trials=20_000, seed=21, drift_std=0.3)
 
 
 def _registers(n):
@@ -75,6 +79,16 @@ def _shots():
                      SHOTS["trials"], SHOTS["seed"])
 
 
+def _hbt_run():
+    drift = DriftSpec.from_relative_std(HBT["drift_std"], rng_seed=HBT["seed"])
+    result = simulate_hbt_run(CFG, HBT["trials"], HBT["seed"], drift=drift)
+    return {"tau_bins": result.tau_bins.tolist(), "g2": result.g2.tolist(),
+            "statistical_error": result.statistical_error.tolist(),
+            "coincidence_counts": result.coincidence_counts.tolist(),
+            "g2_zero": result.g2_zero, "g2_zero_err": result.g2_zero_err,
+            "side_peak_level": result.side_peak_level}
+
+
 def record():
     registers = []
     for n in REGISTER_SIZES:
@@ -87,6 +101,7 @@ def record():
         "pulses_us": list(PULSES),
         "registers": registers,
         "scans": {name: _scan(name).mean_counts.tolist() for name in SCANS},
+        "g2": _hbt_run(),
         "shots": _shots().tolist(),
     }
     FIXTURE.parent.mkdir(exist_ok=True)
@@ -135,6 +150,10 @@ def test_scan_mean_counts(golden, name):
 
 def test_run_shots_counts(golden):
     assert _shots().tolist() == golden["shots"]
+
+
+def test_hbt_run_bins(golden):
+    assert _hbt_run() == golden["g2"]
 
 
 if __name__ == "__main__":

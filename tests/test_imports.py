@@ -19,13 +19,15 @@ from rydpol import config, structure
 
 
 def test_import_does_not_load_scipy():
-    # the shot and scan paths must not pull scipy in either
+    # the shot, scan and pulsed-HBT paths must not pull scipy in either
     code = ("import sys, rydpol\n"
             "from rydpol.config import RB60_PAIR, ExperimentConfig\n"
             "config = ExperimentConfig()\n"
             "rydpol.run_shots(config, RB60_PAIR, 2.0, 0.15, 64, 1, threads=1)\n"
             "rydpol.simulate_rabi_scan(config, RB60_PAIR, [1.0, 5.0], 0.15, 100, 1,\n"
             "                          geometry_samples=20, threads=1)\n"
+            "rydpol.simulate_hbt_run(config, 2000, 1, max_delay=200,\n"
+            "                        drift=rydpol.DriftSpec.from_relative_std(0.3))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(rydpol.__file__).resolve().parent.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -12,6 +12,7 @@ Independent oracles used here:
 
 import itertools
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -29,6 +30,7 @@ from rydpol.interactions import (
     MU_Z,
     SiteBasis,
     _centrosymmetric,
+    _check_hermitian,
     _checked_eigh,
     _pi_sector_drive,
     _pi_sector_tables,
@@ -688,6 +690,56 @@ class TestCheckedSolveRejects:
             stack = h if shape == "single" else np.stack([h, h])
             w, v = _checked_eigh(stack)
             assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * np.abs(w).max()
+
+
+def unblocked_hermitian_check(matrix):
+    """The check on whole matrices: the message _check_hermitian raises, or None."""
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    if not np.all(np.isfinite(scale)):
+        return "non-finite"
+    skew = np.abs(matrix - matrix.swapaxes(-2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    return "not Hermitian" if np.any(skew > 1e-12 * scale) else None
+
+
+class TestHermitianCheckBlocks:
+    """Row blocks accept and reject what the check on whole matrices does."""
+
+    @given(st.sampled_from([1, 63, 64, 65, 130, 200]),
+           st.sampled_from([None, "nan", "+inf", "-inf", "skew", "complex skew"]),
+           st.floats(0.3, 3.0), st.integers(0, 2 ** 31 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_same_verdict_as_whole_matrix(self, dim, kind, size, seed, stacked):
+        # size is the planted asymmetry in units of the 1e-12 tolerance
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(dim, dim))
+        h = x + x.T
+        if kind == "complex skew":
+            y = rng.normal(size=(dim, dim))
+            h = h + 1j * (y - y.T)
+        i, j = rng.integers(0, dim, size=2)
+        if kind in ("nan", "+inf", "-inf"):
+            h[i, j] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+        elif kind is not None:
+            h[i, j] += size * 1e-12 * np.abs(h).max()
+        if stacked:
+            h = np.stack([h.conj().T + h, h, h + h.conj().T])
+        expected = unblocked_hermitian_check(h)
+        if expected is None:
+            _check_hermitian(h, "matrix")
+        else:
+            with pytest.raises(ValueError, match=expected):
+                _check_hermitian(h, "matrix")
+
+    def test_temporaries_stay_below_one_matrix(self):
+        # one block of 64 rows of a 1024 x 1024 matrix (8 MiB) is 0.5 MiB
+        h = build_pi_sector_hamiltonian(spaced_register(10, 1), 2.0, C3)
+        tracemalloc.start()
+        try:
+            _check_hermitian(h, "matrix")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 def spaced_register(n, seed):

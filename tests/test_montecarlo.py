@@ -15,12 +15,15 @@ Independent oracles used here:
 """
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydpol.config import ExperimentConfig, RB60_PAIR, optical_blockade_radius
@@ -33,6 +36,8 @@ from rydpol.montecarlo import (
     _scan_return_probabilities,
     _shot_chunk,
     _worker_count,
+    _detector_codes,
+    _pulse_index,
     _written_register,
     ClickRecord,
     CloudSample,
@@ -73,6 +78,36 @@ def trial_writes(config, seed, trials):
     """_written_register of each trial, one bit generator for all, as the shot path draws them."""
     bit_generator = np.random.Philox()
     return (_written_register(config, R_O, seed, t, bit_generator) for t in trials)
+
+
+def reference_g2(clicks, max_delay, norm_range=(5, 50)):
+    """hbt_g2 with one full-length dot product per delay.
+
+    Returns (coincidences, g2, statistical_error, side_peak_level), which
+    hbt_g2 must reproduce bit for bit.
+    """
+    n = clicks.n_trials
+    pulse = np.floor_divide(clicks.times, clicks.repetition_period).astype(int)
+    in_range = pulse < n
+    side = clicks.detectors[in_range]
+    pulse = pulse[in_range]
+    a = np.bincount(pulse[side == "A"], minlength=n).astype(float)
+    b = np.bincount(pulse[side == "B"], minlength=n).astype(float)
+    ks = np.arange(-max_delay, max_delay + 1)
+    coincidences = np.array([a[:n - k] @ b[k:] if k >= 0 else a[-k:] @ b[:n + k]
+                             for k in ks])
+    pairs = (n - np.abs(ks)).astype(float)
+    rate = coincidences / pairs
+    k_lo, k_hi = norm_range
+    in_norm = (np.abs(ks) >= k_lo) & (np.abs(ks) <= k_hi)
+    norm = float(np.mean(rate[in_norm]))
+    norm_err = float(np.sqrt(np.sum(coincidences[in_norm])) / np.sum(pairs[in_norm]))
+    g2 = rate / norm
+    relative_norm = norm_err / norm
+    inverse = np.divide(1.0, coincidences, out=np.zeros_like(coincidences),
+                        where=coincidences > 0)
+    g2_err = np.where(coincidences > 0, g2 * np.sqrt(inverse + relative_norm ** 2), 0.0)
+    return coincidences, g2, g2_err, norm / float(np.mean(a) * np.mean(b))
 
 
 class TestCloudSampling:
@@ -369,6 +404,58 @@ class TestClickStream:
                         n_trials=1, window=(5.0, 7.0), repetition_period=6.0)
 
 
+LABEL_CASES = [(container, label) for container in ("<U1", "<U2", "object", "list")
+               for label in ("A", "B", "C", "AB", "")
+               if not (container == "<U1" and len(label) > 1)]
+
+
+def labels_in(container, labels):
+    return list(labels) if container == "list" else np.array(labels, dtype=container)
+
+
+class TestDetectorLabels:
+    @pytest.mark.parametrize("container, label", LABEL_CASES)
+    def test_only_a_and_b_pass(self, container, label):
+        detectors = labels_in(container, ["A", label, "B"])
+        build = partial(ClickRecord, times=np.array([1.1, 7.2, 13.3]), detectors=detectors,
+                        n_trials=3, window=(1.0, 1.5), repetition_period=6.0)
+        if label in ("A", "B"):
+            assert build().n_trials == 3
+            assert _detector_codes(detectors).tolist() == [65, ord(label), 66]
+        else:
+            with pytest.raises(ValueError, match="'A' or 'B'"):
+                build()
+            with pytest.raises(ValueError, match="'A' or 'B'"):
+                _detector_codes(detectors)
+
+    @pytest.mark.parametrize("container", ["<U2", "object", "list"])
+    def test_other_label_containers_correlate_alike(self, container):
+        clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, 2000, 8), 8)
+        other = replace(clicks, detectors=labels_in(container, clicks.detectors.tolist()))
+        assert g2_fields(hbt_g2(other)) == g2_fields(hbt_g2(clicks))
+
+
+def g2_fields(result):
+    """Every G2Result field, as plain lists and floats."""
+    return [np.asarray(getattr(result, name)).tolist() for name in (
+        "tau_bins", "g2", "statistical_error", "coincidence_counts", "g2_zero",
+        "g2_zero_err", "side_peak_level")]
+
+
+class TestPulseIndex:
+    @given(st.sampled_from([6.0, 0.1, 3.7, 1e-3]),
+           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=40),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_floor_divide(self, period, pulses, fraction):
+        # events on, just below and just above period boundaries, and inside a period
+        edges = np.array(pulses, dtype=float) * period
+        times = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, np.inf),
+                                edges + fraction * period])
+        times = np.sort(times[times >= 0])
+        assert np.array_equal(_pulse_index(times, period), np.floor_divide(times, period))
+
+
 class TestHbtG2:
     def test_three_emitters_antibunch_to_two_thirds(self):
         # n independent single-photon emitters give g2(0) = 1 - 1/n = 2/3,
@@ -437,6 +524,51 @@ class TestHbtG2:
         with pytest.raises(ValueError, match="number of trials"):
             hbt_g2(clicks, max_delay=3000, norm_range=(5, 50))
 
+    @given(st.sampled_from([50, 64, 65, 200]), st.integers(1, 300), st.integers(0, 3),
+           st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @example(50, 1, 0, 3, 1, False)    # trials = max_delay + 1
+    @example(64, 1, 0, 2, 2, True)
+    @example(65, 1, 0, 3, 3, False)
+    @example(200, 1, 0, 3, 4, True)
+    @example(64, 64, 0, 3, 5, False)   # trials a multiple of 64
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_delay_loop(self, max_delay, extra, dropped, n_emitters, seed,
+                                    drifted):
+        # the last `dropped` pulses hold events past the run, which both drop
+        trials = max_delay + extra + dropped
+        counts = emitter_photon_counts(n_emitters, 0.6, trials, seed)
+        clicks = generate_click_stream(replace(CFG, background_rate=0.2), counts, seed)
+        if drifted:
+            clicks = efficiency_drift_model(clicks, DriftSpec(amplitude=0.4, rng_seed=seed))
+        clicks = replace(clicks, n_trials=trials - dropped)
+        coincidences, g2, g2_err, side_level = reference_g2(clicks, max_delay)
+        result = hbt_g2(clicks, max_delay=max_delay)
+        assert np.array_equal(result.coincidence_counts, coincidences.astype(np.int64))
+        assert np.array_equal(result.g2, g2)
+        assert np.array_equal(result.statistical_error, g2_err)
+        assert result.side_peak_level == side_level
+        assert result.g2_zero == g2[max_delay]
+
+    def test_memory_stays_linear_in_max_delay(self):
+        # Rows of 64 pulses need one 64 x 64 product per row offset, about
+        # 2.5 MiB of offsets at max_delay 5000; a single block as wide as
+        # max_delay would need a 5000 x 5000 product, 190 MiB.
+        clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, 20_000, 5), 5)
+        tracemalloc.start()
+        try:
+            result = hbt_g2(clicks, max_delay=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.g2.size == 10_001
+        assert peak < 4 * 2 ** 20
+
+    def test_max_delay_must_be_an_integer(self):
+        clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, 2_000, 31), 31)
+        with pytest.raises(ValueError, match="max_delay must be an integer, got 60.5"):
+            hbt_g2(clicks, max_delay=60.5)
+        assert g2_fields(hbt_g2(clicks, max_delay=np.int64(60))) == g2_fields(hbt_g2(clicks))
+
     def test_g2_result_validation(self):
         with pytest.raises(ValueError):
             G2Result(tau_bins=np.array([0.0]), g2=np.array([-0.1]),
@@ -504,6 +636,11 @@ class TestDrift:
         with pytest.raises(ValueError):
             DriftSpec(amplitude=-0.1)
 
+    @pytest.mark.parametrize("relative_std", [-0.1, -1e-9, math.nan])
+    def test_negative_relative_std_rejected(self, relative_std):
+        with pytest.raises(ValueError, match=f"relative std must be >= 0, got {relative_std!r}"):
+            DriftSpec.from_relative_std(relative_std)
+
 
 class TestSourceModels:
     def test_emitter_counts_bounded_and_deterministic(self):
@@ -524,6 +661,29 @@ class TestSourceModels:
             emitter_photon_counts(3, 1.2, 10, 1)
         with pytest.raises(ValueError):
             poisson_photon_counts(-0.5, 10, 1)
+
+    @pytest.mark.parametrize("trials", [2.7, -5, 0, "10"])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        message = re.escape(f"trials must be a positive integer, got {trials!r}")
+        with pytest.raises(ValueError, match=message):
+            emitter_photon_counts(3, 0.35, trials, 1)
+        with pytest.raises(ValueError, match=message):
+            poisson_photon_counts(1.0, trials, 1)
+
+    @pytest.mark.parametrize("trials, max_delay, message", [
+        (2_000_000, 2_000_001, "max_delay 2000001 exceeds the number of trials"),
+        (2_000_000, 60.5, "max_delay must be an integer, got 60.5"),
+        (2_000_000, 10, "max_delay 10 must cover"),
+        (2.7, 60, "trials must be a positive integer, got 2.7"),
+    ])
+    def test_hbt_run_checks_inputs_before_drawing(self, monkeypatch, trials, max_delay,
+                                                  message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the inputs")
+
+        monkeypatch.setattr(montecarlo, "philox_stream", no_draws)
+        with pytest.raises(ValueError, match=message):
+            simulate_hbt_run(CFG, trials, 1, max_delay=max_delay)
 
 
 class TestRabiScan:
