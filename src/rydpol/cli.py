@@ -292,12 +292,13 @@ def build_parser():
 
     sub = subparsers.add_parser("radius", help="blockade radii from interaction "
                                                "coefficients")
-    sub.add_argument("--c6", type=float, default=140.0,
-                     help="|C6| in GHz*um^6 (default 140)")
+    sub.add_argument("--c6", type=float, default=abs(RB60_PAIR.c6),
+                     help="|C6| in GHz*um^6 (default %(default)g, the 60s pair)")
     sub.add_argument("--eit-width", type=float, default=None,
                      help="EIT linewidth in MHz (default: config value)")
-    sub.add_argument("--c3", type=float, default=14.3,
-                     help="|C3| in GHz*um^3 for the microwave radius")
+    sub.add_argument("--c3", type=float, default=abs(RB60_PAIR.c3),
+                     help="|C3| in GHz*um^3 for the microwave radius "
+                          "(default %(default)g, the 60s pair)")
     sub.add_argument("--omega-mu", type=float, default=None,
                      help="microwave Rabi frequency in MHz; adds r_mu_um")
     _add_common(sub)
@@ -322,7 +323,8 @@ def build_parser():
     sub = subparsers.add_parser("eigenscan", help="two-site spectrum vs separation")
     sub.add_argument("--omega-mu", type=float, required=True,
                      help="microwave Rabi frequency in MHz")
-    sub.add_argument("--c3", type=float, default=-14.3, help="C3 in GHz*um^3")
+    sub.add_argument("--c3", type=float, default=RB60_PAIR.c3,
+                     help="C3 in GHz*um^3 (default %(default)g, the 60s pair)")
     sub.add_argument("--r-min", type=float, default=4.0, help="um")
     sub.add_argument("--r-max", type=float, default=14.0, help="um")
     sub.add_argument("--steps", type=int, default=200)

@@ -46,11 +46,7 @@ class ExperimentConfig:
     atom_mass: float = RB87_MASS_U    # atomic mass (u)
     signal_wavelength: float = 780.2  # signal-field wavelength (nm)
     control_wavelength: float = 480.0  # control-field wavelength (nm)
-    trap_wavelength: float = 910.0    # dipole-trap wavelength (nm)
-    omega_c: float = 3.0              # control Rabi frequency (MHz)
-    omega_s: float = 1.2              # signal Rabi frequency (MHz)
     eit_width: float = 1.0            # EIT transparency width (MHz)
-    n_principal: int = 60             # principal quantum number of the storage state
     repetition_period: float = 6.0    # experiment repetition period (us)
     storage_time: float = 0.9         # dark storage interval (us)
     retrieval_window: tuple[float, float] = (1.0, 1.5)  # gate for retrieved photons (us)
@@ -61,16 +57,13 @@ class ExperimentConfig:
     def __post_init__(self):
         positive = (
             "cloud_wz", "cloud_wr", "temperature", "atom_mass",
-            "signal_wavelength", "control_wavelength", "trap_wavelength",
-            "omega_c", "omega_s", "eit_width", "repetition_period",
-            "storage_time", "mean_input_photons",
+            "signal_wavelength", "control_wavelength", "eit_width",
+            "repetition_period", "storage_time", "mean_input_photons",
         )
         for name in positive:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
-        if not (isinstance(self.n_principal, int) and self.n_principal >= 1):
-            raise ConfigError(f"n_principal must be a positive integer, got {self.n_principal!r}")
         if not (0.0 < self.detection_efficiency <= 1.0):
             raise ConfigError(
                 f"detection_efficiency must lie in (0, 1], got {self.detection_efficiency!r}")
@@ -95,10 +88,6 @@ class ExperimentConfig:
         values = dict(data)
         if "retrieval_window" in values:
             values["retrieval_window"] = tuple(values["retrieval_window"])
-        if "n_principal" in values:
-            n = values["n_principal"]
-            if isinstance(n, float) and n.is_integer():
-                values["n_principal"] = int(n)
         return cls(**values)
 
     @classmethod
@@ -124,16 +113,14 @@ class ExperimentConfig:
 class PairCoefficients:
     """Signed interaction coefficients for one pair of Rydberg states.
 
-    c6 in GHz um^6, c3 in GHz um^3 (both negative for attractive pairs),
-    dipole_moment in units of e*a0.
+    c6 in GHz um^6, c3 in GHz um^3 (both negative for attractive pairs).
     """
 
     c6: float = -140.0
     c3: float = -14.3
-    dipole_moment: float = 1634.9
 
     def __post_init__(self):
-        for name in ("c6", "c3", "dipole_moment"):
+        for name in ("c6", "c3"):
             value = getattr(self, name)
             if not math.isfinite(value) or value == 0:
                 raise ConfigError(f"{name} must be finite and non-zero, got {value!r}")

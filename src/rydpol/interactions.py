@@ -368,8 +368,23 @@ def eigenspectrum(h, return_vectors=False):
     is solved as two half-size blocks; any other matrix, such as one from
     the full 4^n builder, by one dense solve.
     """
-    w, v = _checked_eigh(_as_matrix(h), check_vectors=return_vectors)
-    return (w, v) if return_vectors else w
+    matrix = _as_matrix(h)
+    w, v, split = _block_eigh(matrix, check_vectors=return_vectors)
+    if not split:
+        return (w[0], v[0]) if return_vectors else w[0]
+    w = w.ravel()
+    order = np.argsort(w, kind="stable")
+    if not return_vectors:
+        return w[order]
+    half = matrix.shape[0] // 2
+    top = np.concatenate(v, axis=1)[:, order]
+    top *= math.sqrt(0.5)
+    vectors = np.empty(matrix.shape, dtype=top.dtype)
+    vectors[:half] = top
+    vectors[half:] = top[::-1]
+    # columns from the A - B J block carry -J u in the lower half
+    vectors[half:] *= np.where(order < half, 1.0, -1.0)
+    return w[order], vectors
 
 
 #: Fewest entries, over all matrices of a stack together, at which
@@ -429,27 +444,6 @@ def _block_eigh(matrices, check_vectors=True):
                 f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
                 f"1e-9 * ||H|| = {1e-9 * h_norm.flat[first]:.3e}")
     return w, v, split
-
-
-def _checked_eigh(matrices, check_vectors=True):
-    """np.linalg.eigh of one Hermitian matrix or a stack, checked (see _block_eigh).
-
-    Eigenvalues come back ascending, with the eigenvectors as columns.
-    """
-    w, v, split = _block_eigh(matrices, check_vectors)
-    if not split:
-        return w[0], v[0]
-    half = matrices.shape[-1] // 2
-    w = np.concatenate([w[0], w[1]], axis=-1)
-    order = np.argsort(w, axis=-1, kind="stable")
-    top = np.take_along_axis(np.concatenate([v[0], v[1]], axis=-1), order[..., None, :], axis=-1)
-    top *= math.sqrt(0.5)
-    vectors = np.empty(matrices.shape, dtype=top.dtype)
-    vectors[..., :half, :] = top
-    vectors[..., half:, :] = top[..., ::-1, :]
-    # columns from the A - B J block carry -J u in the lower half
-    vectors[..., half:, :] *= np.where(order < half, 1.0, -1.0)[..., None, :]
-    return np.take_along_axis(w, order, axis=-1), vectors
 
 
 def _all_s_return_probabilities(matrices, t):

@@ -330,7 +330,11 @@ def _detector_codes(detectors):
 
 @dataclass(frozen=True)
 class ClickRecord:
-    """Time-tagged detector events for a run of identical trials."""
+    """Time-tagged detector events for a run of n_trials identical trials.
+
+    n_trials must be a positive integer.  Events at or past n_trials
+    repetition periods are kept in the record; hbt_g2 drops them.
+    """
 
     times: np.ndarray       # absolute event times (us), sorted
     detectors: np.ndarray   # 'A' or 'B' per event
@@ -339,6 +343,7 @@ class ClickRecord:
     repetition_period: float
 
     def __post_init__(self):
+        _check_trials(self.n_trials)
         times = np.asarray(self.times, dtype=float)
         detectors = np.asarray(self.detectors)
         if times.shape != detectors.shape or times.ndim != 1:
@@ -383,9 +388,12 @@ def generate_click_stream(config, per_trial_photon_counts, seed):
     counts = np.asarray(per_trial_photon_counts)
     if counts.ndim != 1 or counts.size < 1:
         raise ValueError("per_trial_photon_counts must be a non-empty 1-d sequence")
-    finite = counts.dtype.kind in "iub" or np.all(np.isfinite(counts.astype(float)))
-    if not finite or np.any(counts < 0):
+    integral = counts.dtype.kind in "iub"
+    values = counts if integral else counts.astype(float)
+    if not (integral or np.all(np.isfinite(values))) or np.any(values < 0):
         raise ValueError("photon counts must be finite and non-negative")
+    if not integral and np.any(np.floor(values) != values):
+        raise ValueError("photon counts must be whole numbers")
     counts = counts.astype(np.int64, copy=False)
     n_trials = counts.size
     rng = philox_stream(seed, _STAGE_CLICKS)
@@ -444,22 +452,19 @@ class G2Result:
             raise ValueError("statistical error must be positive where counts exist")
 
 
-#: hbt_g2's default normalization range, in pulse-index delays.
+#: Side-peak delays, in pulses, over which hbt_g2 normalizes.
 _NORM_RANGE = (5, 50)
 
 #: Pulses per row in hbt_g2's blocked correlation.
 _CORRELATION_ROW = 64
 
 
-def _check_delays(max_delay, n_trials, norm_range):
-    k_lo, k_hi = norm_range
-    if not (0 < k_lo <= k_hi):
-        raise ValueError(f"invalid normalization range {norm_range!r}")
+def _check_delays(max_delay, n_trials):
     if not isinstance(max_delay, (int, np.integer)):
         raise ValueError(f"max_delay must be an integer, got {max_delay!r}")
-    if max_delay < k_hi:
+    if max_delay < _NORM_RANGE[1]:
         raise ValueError(
-            f"max_delay {max_delay!r} must cover the normalization range {norm_range!r}")
+            f"max_delay {max_delay!r} must cover the normalization range {_NORM_RANGE!r}")
     if max_delay >= n_trials:
         raise ValueError(
             f"max_delay {max_delay!r} exceeds the number of trials ({n_trials})")
@@ -495,11 +500,11 @@ def _cross_correlation(counts_a, counts_b, max_delay):
     return sums[span - max_delay:span + max_delay + 1]
 
 
-def hbt_g2(clicks, max_delay=60, norm_range=_NORM_RANGE):
+def hbt_g2(clicks, max_delay=60):
     """Cross-detector coincidences binned by pulse-index difference.
 
     g2(k*T) = C_k / C_norm where C_norm is the mean per-pair coincidence
-    rate over side peaks with |k| inside norm_range.  side_peak_level
+    rate over side peaks with 5 <= |k| <= 50 (_NORM_RANGE).  side_peak_level
     reports that normalization relative to the fully uncorrelated rate
     (mean_A * mean_B), which rises as 1 + Var/Mean^2 under slow efficiency
     drift while leaving the normalized bins untouched.  The coincidence
@@ -508,8 +513,8 @@ def hbt_g2(clicks, max_delay=60, norm_range=_NORM_RANGE):
     if clicks.times.size < 2:
         raise ValueError("need at least two events to correlate")
     n_trials = clicks.n_trials
-    _check_delays(max_delay, n_trials, norm_range)
-    k_lo, k_hi = norm_range
+    _check_delays(max_delay, n_trials)
+    k_lo, k_hi = _NORM_RANGE
     max_delay = int(max_delay)
     # per-pulse counts of detector A in row 0 and of B in row 1, zero-padded
     # to whole correlation rows; pulses past the run are clamped to n_trials
@@ -648,7 +653,7 @@ def simulate_hbt_run(config, trials, seed, n_emitters=3,
     The trial count and delay range are checked before anything is drawn.
     """
     _check_trials(trials)
-    _check_delays(max_delay, trials, _NORM_RANGE)
+    _check_delays(max_delay, trials)
     clicks = generate_click_stream(
         config, emitter_photon_counts(n_emitters, detection_prob, trials, seed), seed)
     if drift is not None:

@@ -85,7 +85,7 @@ class TestExitCodes:
 
     def test_unknown_config_key_is_computation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"n_principal": 60, "not_a_real_key": 1}')
+        bad.write_text('{"eit_width": 1.0, "not_a_real_key": 1}')
         code = run_cli("radius", "--config", bad, "--output-dir", tmp_path)
         assert code == 1
         assert "not_a_real_key" in capsys.readouterr().err

@@ -114,8 +114,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field", [
         "cloud_wz", "cloud_wr", "temperature", "atom_mass", "signal_wavelength",
-        "control_wavelength", "trap_wavelength", "omega_c", "omega_s", "eit_width",
-        "repetition_period", "storage_time", "mean_input_photons",
+        "control_wavelength", "eit_width", "repetition_period", "storage_time",
+        "mean_input_photons",
     ])
     def test_positive_fields_name_the_offender(self, field):
         with pytest.raises(ConfigError, match=field):
@@ -137,6 +137,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="clowd_wr"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("key", ["trap_wavelength", "omega_c", "omega_s", "n_principal"])
+    def test_keys_the_model_does_not_read_are_unknown(self, key):
+        # the config holds only what the model reads
+        with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+            ExperimentConfig.from_dict({key: 60})
+
     def test_partial_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"temperature": 40.0, "retrieval_window": [1.1, 1.4]}))
@@ -155,7 +161,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(temperature=55.0)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
-    @given(st.sampled_from(["cloud_wz", "omega_c", "eit_width", "storage_time"]),
+    @given(st.sampled_from(["cloud_wz", "temperature", "eit_width", "storage_time"]),
            st.floats(-10, 0))
     @settings(max_examples=30)
     def test_nonpositive_rejected_everywhere(self, field, value):
@@ -167,7 +173,7 @@ class TestPairCoefficients:
     def test_defaults(self):
         assert RB60_PAIR.c6 == -140.0
         assert RB60_PAIR.c3 == -14.3
-        assert RB60_PAIR.dipole_moment == pytest.approx(1634.9)
+        assert [f.name for f in dataclasses.fields(PairCoefficients)] == ["c6", "c3"]
 
     def test_signed_storage(self):
         # signs survive storage; only the radius formulas take magnitudes

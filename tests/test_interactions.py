@@ -30,8 +30,8 @@ from rydpol.interactions import (
     MU_Z,
     SiteBasis,
     _centrosymmetric,
+    _block_eigh,
     _check_hermitian,
-    _checked_eigh,
     _pi_sector_drive,
     _pi_sector_tables,
     build_dd_hamiltonian,
@@ -314,7 +314,9 @@ class TestEigenspectrum:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(5, 6, 6))
         stack = a + a.transpose(0, 2, 1)
-        w, v = _checked_eigh(stack)
+        w, v, split = _block_eigh(stack)
+        assert not split
+        w, v = w[0], v[0]
         for k in range(5):
             assert np.array_equal(w[k], eigenspectrum(stack[k]))
             assert np.array_equal(v[k], eigenspectrum(stack[k], return_vectors=True)[1])
@@ -323,10 +325,10 @@ class TestEigenspectrum:
         stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
         stack[1, 0, 2] = 1.0
         with pytest.raises(ValueError, match="not Hermitian"):
-            _checked_eigh(stack)
+            _block_eigh(stack)
         stack[1, 0, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            _checked_eigh(stack)
+            _block_eigh(stack)
 
 
 class TestTimeEvolve:
@@ -577,15 +579,18 @@ class TestParitySplit:
     def test_stack_matches_dense_solve(self, count, half, seed, complex_valued):
         stack = centrosymmetric_stack(count, 2 * half, seed, complex_valued)
         assert _centrosymmetric(stack)
-        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
-            w, v = _checked_eigh(stack)
         dense = np.linalg.eigvalsh(stack)
         scale = np.abs(dense).max(axis=-1, keepdims=True)
-        assert np.all(np.abs(w - dense) <= 1e-12 * scale)
-        assert np.all(np.diff(w, axis=-1) >= 0)
-        assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * scale.max()
-        gram = np.swapaxes(v, -2, -1).conj() @ v
-        assert np.abs(gram - np.eye(2 * half)).max() <= 1e-12
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
+            blocks, _, split = _block_eigh(stack)
+            assert split
+            merged = np.sort(np.concatenate([blocks[0], blocks[1]], axis=-1), axis=-1)
+            assert np.all(np.abs(merged - dense) <= 1e-12 * scale)
+            for k, h in enumerate(stack):
+                w, v = eigenspectrum(h, return_vectors=True)
+                assert np.array_equal(w, merged[k])
+                assert np.abs(h @ v - v * w).max() <= 1e-12 * scale.max()
+                assert np.abs(v.conj().T @ v - np.eye(2 * half)).max() <= 1e-12
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1), st.floats(0.01, 50.0),
            st.sampled_from([0, None]))
@@ -616,8 +621,8 @@ class TestParitySplit:
         with patch.object(interactions, "_SPLIT_MIN_ENTRIES", limit), \
                 patch.object(np.linalg, "eigh", shifted):
             with pytest.raises(RuntimeError, match="eigenpair residual"):
-                _checked_eigh(h)
-            _checked_eigh(h, check_vectors=False)
+                eigenspectrum(h, return_vectors=True)
+            eigenspectrum(h)
 
     @pytest.mark.parametrize("matrix", [
         build_hamiltonian(SiteBasis(1), [[0.0, 0.0, 0.0]], 3.0, C3).matrix,
@@ -669,7 +674,7 @@ class TestCheckedSolveRejects:
             bad = np.stack([good, bad, good])
         for check_vectors in (True, False):
             with pytest.raises(ValueError, match=message):
-                _checked_eigh(bad, check_vectors=check_vectors)
+                _block_eigh(bad, check_vectors=check_vectors)
         if shape == "single":
             with pytest.raises(ValueError, match=message):
                 eigenspectrum(bad)
@@ -688,7 +693,9 @@ class TestCheckedSolveRejects:
         x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         for h in (near, x + x.conj().T):
             stack = h if shape == "single" else np.stack([h, h])
-            w, v = _checked_eigh(stack)
+            w, v, split = _block_eigh(stack)
+            assert not split
+            w, v = w[0], v[0]
             assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * np.abs(w).max()
 
 

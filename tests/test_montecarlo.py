@@ -403,6 +403,23 @@ class TestClickStream:
             ClickRecord(times=np.array([1.0]), detectors=np.array(["A"]),
                         n_trials=1, window=(5.0, 7.0), repetition_period=6.0)
 
+    @pytest.mark.parametrize("counts", [[1.5, 2.9, 0.2], [1.0, 0.5], np.array([2, 1e-9])])
+    def test_non_integral_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="whole numbers"):
+            generate_click_stream(NO_BACKGROUND, counts, 1)
+
+    def test_whole_float_counts_place_as_integers(self):
+        floats = generate_click_stream(CFG, [1.0, 0.0, 2.0], 7)
+        ints = generate_click_stream(CFG, np.array([1, 0, 2]), 7)
+        assert np.array_equal(floats.times, ints.times)
+        assert np.array_equal(floats.detectors, ints.detectors)
+
+    @pytest.mark.parametrize("n_trials", [2.5, 2.0, 0, -1, "3", None])
+    def test_n_trials_must_be_a_positive_integer(self, n_trials):
+        with pytest.raises(ValueError, match="positive integer"):
+            ClickRecord(times=np.array([1.1]), detectors=np.array(["A"]),
+                        n_trials=n_trials, window=(1.0, 1.5), repetition_period=6.0)
+
 
 LABEL_CASES = [(container, label) for container in ("<U1", "<U2", "object", "list")
                for label in ("A", "B", "C", "AB", "")
@@ -517,12 +534,10 @@ class TestHbtG2:
         with pytest.raises(ValueError, match="two events"):
             hbt_g2(replace(clicks, times=clicks.times[:1],
                            detectors=clicks.detectors[:1]))
-        with pytest.raises(ValueError, match="normalization range"):
-            hbt_g2(clicks, max_delay=60, norm_range=(0, 50))
-        with pytest.raises(ValueError, match="cover"):
-            hbt_g2(clicks, max_delay=4, norm_range=(5, 50))
+        with pytest.raises(ValueError, match=r"cover the normalization range \(5, 50\)"):
+            hbt_g2(clicks, max_delay=4)
         with pytest.raises(ValueError, match="number of trials"):
-            hbt_g2(clicks, max_delay=3000, norm_range=(5, 50))
+            hbt_g2(clicks, max_delay=3000)
 
     @given(st.sampled_from([50, 64, 65, 200]), st.integers(1, 300), st.integers(0, 3),
            st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.booleans())
