@@ -60,7 +60,8 @@ def _resolve_config(args):
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity raises ValueError rather than being written."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_text(header, rows):
@@ -250,6 +251,9 @@ def _cmd_fit(args):
 
 def _cmd_protocol(args):
     config = _resolve_config(args)
+    # the count SEM needs two shots
+    if args.trials < 2:
+        raise ValueError(f"--trials must be >= 2, got {args.trials}")
     counts = run_shots(config, RB60_PAIR, args.omega_mu, args.pulse_ns * 1e-3,
                        args.trials, args.seed, threads=args.threads)
     histogram = np.bincount(counts)

@@ -33,6 +33,12 @@ class ConfigError(ValueError):
     """Raised when a configuration value or file is invalid."""
 
 
+def _finite_number(value):
+    """Whether a config value is a finite int or float; JSON true/false are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Static parameters of the storage/retrieval experiment.
@@ -62,21 +68,26 @@ class ExperimentConfig:
         )
         for name in positive:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_finite_number(value) and value > 0):
                 raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
-        if not (0.0 < self.detection_efficiency <= 1.0):
+        efficiency = self.detection_efficiency
+        if not (_finite_number(efficiency) and 0.0 < efficiency <= 1.0):
+            raise ConfigError(f"detection_efficiency must lie in (0, 1], got {efficiency!r}")
+        if not (_finite_number(self.background_rate) and self.background_rate >= 0):
             raise ConfigError(
-                f"detection_efficiency must lie in (0, 1], got {self.detection_efficiency!r}")
-        if self.background_rate < 0:
-            raise ConfigError(f"background_rate must be non-negative, got {self.background_rate!r}")
+                f"background_rate must be a non-negative finite number, "
+                f"got {self.background_rate!r}")
         window = self.retrieval_window
-        if len(window) != 2:
-            raise ConfigError(f"retrieval_window must be a (start, end) pair, got {window!r}")
+        if not (isinstance(window, (tuple, list)) and len(window) == 2
+                and all(_finite_number(edge) for edge in window)):
+            raise ConfigError(
+                f"retrieval_window must be a (start, end) pair of finite numbers, got {window!r}")
         start, end = window
         if not (0.0 <= start < end < self.repetition_period):
             raise ConfigError(
                 "retrieval_window must satisfy 0 <= start < end < repetition_period, "
                 f"got {window!r} with repetition_period {self.repetition_period!r}")
+        object.__setattr__(self, "retrieval_window", tuple(window))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -85,10 +96,7 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = dict(data)
-        if "retrieval_window" in values:
-            values["retrieval_window"] = tuple(values["retrieval_window"])
-        return cls(**values)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

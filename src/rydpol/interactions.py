@@ -40,13 +40,11 @@ def _ket_bra(a, b):
     return op
 
 
-#: Spherical dipole components on one site: pi channel s<->p0, and the
-#: sigma+/- channels with the (-1)^q spherical-tensor sign, mu_minus = -mu_plus^dag.
+#: Pi component of the dipole on one site, s <-> p0.
 MU_Z = _ket_bra(_S, _P0) + _ket_bra(_P0, _S)
-MU_PLUS = _ket_bra(_PP, _S) - _ket_bra(_S, _PM)
-MU_MINUS = _ket_bra(_PM, _S) - _ket_bra(_S, _PP)
 
-# Excitation-conserving (co-rotating) parts of the two-site channel products.
+# Excitation-conserving (co-rotating) parts of the two-site channel products,
+# with the sigma components mu_+ = |p+><s| - |s><p-| and mu_- = -mu_+^dag.
 # In the frame rotating at the s-p transition frequency, the doubly-raising /
 # doubly-lowering pieces of mu_q^i mu_{-q}^j (e.g. |ss> -> |p0 p0>) oscillate
 # at twice that frequency (~37 GHz) and average away; what survives is
@@ -172,33 +170,31 @@ class SiteHamiltonian:
         object.__setattr__(self, "matrix", matrix)
 
 
-def _embed(op, site, n_sites):
-    """Single-site operator lifted to the n_sites product space."""
-    out = np.array([[1.0]])
-    for i in range(n_sites):
-        out = np.kron(out, op if i == site else np.eye(4))
-    return out
+def _embed(op, sites, n_sites):
+    """Nonzero entries of a one- or two-site operator lifted to n_sites sites.
 
-
-def _embed_pair(op, i, j, n_sites):
-    """Two-site operator (16x16, ordered as site i tensor site j) lifted to n_sites.
-
-    Scatters the nonzero entries directly by index arithmetic instead of a
-    kron chain, which keeps the all-pairs assembly cheap at 5-6 sites.
+    `op` is 4x4 on sites[0], or 16x16 on sites[0] tensor sites[1].  Returns
+    (rows, cols, values): each nonzero op entry once per basis state of the
+    other sites, found by digit arithmetic, and no (row, col) twice.  So
+    `matrix[rows, cols] += scale * values` adds scale * op, lifted, with no
+    dense temporary.
     """
-    dim = 4 ** n_sites
-    out = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    stride_i = 4 ** (n_sites - 1 - i)
-    stride_j = 4 ** (n_sites - 1 - j)
-    digit_i = (idx // stride_i) % 4
-    digit_j = (idx // stride_j) % 4
-    for row16, col16 in zip(*np.nonzero(op)):
-        a, c = divmod(int(row16), 4)
-        b, d = divmod(int(col16), 4)
-        cols = idx[(digit_i == b) & (digit_j == d)]
-        out[cols + (a - b) * stride_i + (c - d) * stride_j, cols] += op[row16, col16]
-    return out
+    idx = np.arange(4 ** n_sites)
+    strides = [4 ** (n_sites - 1 - site) for site in sites]
+    digits = [(idx // stride) % 4 for stride in strides]
+    rows, cols, values = [], [], []
+    for row, col in zip(*np.nonzero(op)):
+        kets = np.unravel_index(row, (4,) * len(sites))
+        bras = np.unravel_index(col, (4,) * len(sites))
+        match = functools.reduce(np.logical_and,
+                                 [digit == bra for digit, bra in zip(digits, bras)])
+        columns = idx[match]
+        shift = sum((int(ket) - int(bra)) * stride
+                    for ket, bra, stride in zip(kets, bras, strides))
+        rows.append(columns + shift)
+        cols.append(columns)
+        values.append(np.full(columns.size, op[row, col]))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
 def build_drive_hamiltonian(basis, omega_mu):
@@ -211,7 +207,8 @@ def build_drive_hamiltonian(basis, omega_mu):
         raise ValueError(f"omega_mu must be finite and >= 0, got {omega_mu!r}")
     matrix = np.zeros((basis.dim, basis.dim))
     for site in range(basis.n_sites):
-        matrix += 0.5 * omega_mu * _embed(MU_Z, site, basis.n_sites)
+        rows, cols, values = _embed(MU_Z, (site,), basis.n_sites)
+        matrix[rows, cols] += 0.5 * omega_mu * values
     return SiteHamiltonian(basis=basis, matrix=matrix)
 
 
@@ -241,7 +238,8 @@ def build_dd_hamiltonian(basis, positions, c3):
         if r_ij <= 0.0:
             raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
         v_ij = c3 * 1e3 / r_ij ** 3
-        matrix += v_ij * _embed_pair(_EXCHANGE_BRACKET, i, j, basis.n_sites)
+        rows, cols, values = _embed(_EXCHANGE_BRACKET, (i, j), basis.n_sites)
+        matrix[rows, cols] += v_ij * values
     return SiteHamiltonian(basis=basis, matrix=matrix)
 
 
@@ -361,15 +359,15 @@ def _as_matrix(h):
 def eigenspectrum(h, return_vectors=False):
     """Ascending real eigenvalues of a Hermitian Hamiltonian (optionally vectors).
 
-    Accepts a SiteHamiltonian or a raw Hermitian matrix.  When
-    vectors are requested, each pair satisfies ||H v - w v|| <= 1e-9 ||H||.
+    Accepts a SiteHamiltonian or a raw Hermitian matrix.  Each eigenpair is
+    checked to satisfy ||H v - w v|| <= 1e-9 ||H||, vectors requested or not.
     A matrix of at least 2048 entries that is exactly centrosymmetric
     (P H P = H for the reversal P, the global flip of a pi-sector register)
     is solved as two half-size blocks; any other matrix, such as one from
     the full 4^n builder, by one dense solve.
     """
     matrix = _as_matrix(h)
-    w, v, split = _block_eigh(matrix, check_vectors=return_vectors)
+    w, v, split = _block_eigh(matrix)
     if not split:
         return (w[0], v[0]) if return_vectors else w[0]
     w = w.ravel()
@@ -401,11 +399,11 @@ def _centrosymmetric(matrices):
     return matrices.shape[-1] % 2 == 0 and np.array_equal(matrices, matrices[..., ::-1, ::-1])
 
 
-def _block_eigh(matrices, check_vectors=True):
+def _block_eigh(matrices):
     """Checked np.linalg.eigh of one Hermitian matrix or a stack (..., d, d).
 
-    Raises ValueError unless every matrix is finite and Hermitian and, with
-    check_vectors, RuntimeError unless every eigenpair satisfies
+    Raises ValueError unless every matrix is finite and Hermitian, and
+    RuntimeError unless every eigenpair satisfies
     ||H v - w v|| <= 1e-9 ||H|| (||H|| = largest |eigenvalue| of that matrix).
 
     Returns (w, v, split), w and v with one leading axis more than eigh's.
@@ -429,20 +427,19 @@ def _block_eigh(matrices, check_vectors=True):
     else:
         blocks = matrices[None]
     w, v = np.linalg.eigh(blocks)
-    if check_vectors:
-        h_norm = np.abs(w).max(axis=(0, -1), initial=0.0)
-        misfit = blocks @ v
-        misfit -= v * w[..., None, :]
-        # largest squared column norm; sqrt is monotonic, so one sqrt per matrix
-        squares = np.einsum("...ij,...ij->...j",
-                            misfit.conj() if misfit.dtype.kind == "c" else misfit, misfit)
-        residuals = np.sqrt(squares.real.max(axis=(0, -1), initial=0.0))
-        bad = residuals > 1e-9 * h_norm
-        if _any(bad):
-            first = np.flatnonzero(bad)[0]
-            raise RuntimeError(
-                f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
-                f"1e-9 * ||H|| = {1e-9 * h_norm.flat[first]:.3e}")
+    h_norm = np.abs(w).max(axis=(0, -1), initial=0.0)
+    misfit = blocks @ v
+    misfit -= v * w[..., None, :]
+    # largest squared column norm; sqrt is monotonic, so one sqrt per matrix
+    squares = np.einsum("...ij,...ij->...j",
+                        misfit.conj() if misfit.dtype.kind == "c" else misfit, misfit)
+    residuals = np.sqrt(squares.real.max(axis=(0, -1), initial=0.0))
+    bad = residuals > 1e-9 * h_norm
+    if _any(bad):
+        first = np.flatnonzero(bad)[0]
+        raise RuntimeError(
+            f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
+            f"1e-9 * ||H|| = {1e-9 * h_norm.flat[first]:.3e}")
     return w, v, split
 
 
@@ -467,16 +464,14 @@ def _all_s_return_probabilities(matrices, t):
 class EigenscanResult:
     """Two-site spectrum vs separation.
 
-    `levels[k]` is the ascending spectrum at `radii[k]`; `branches[:, b]` is
+    `branches[k]` is the spectrum at `radii[k]`, and `branches[:, b]` is
     branch b followed through the scan by eigenvector-overlap continuity (the
-    branch order equals the sorted order at the first radius).
+    branch order equals the sorted order at the first radius).  The
+    ascending spectrum at each radius is np.sort(branches, axis=1).
     """
 
     radii: np.ndarray
-    levels: np.ndarray
     branches: np.ndarray
-    omega_mu: float
-    c3: float
 
 
 def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
@@ -491,7 +486,6 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
     radii = np.linspace(r_min, r_max, steps)
     drive = build_drive_hamiltonian(basis, omega_mu).matrix
 
-    levels = np.empty((steps, basis.dim))
     branches = np.empty((steps, basis.dim))
     tracked_vectors = None
     tracked_values = None
@@ -499,7 +493,6 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
         positions = [[0.0, 0.0, 0.0], [0.0, 0.0, float(r)]]
         dd = build_dd_hamiltonian(basis, positions, c3).matrix
         w, v = eigenspectrum(drive + dd, return_vectors=True)
-        levels[k] = w
         if tracked_vectors is None:
             columns = np.arange(basis.dim)
         else:
@@ -510,8 +503,7 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
         branches[k] = w[columns]
         tracked_vectors = v[:, columns]
         tracked_values = w[columns]
-    return EigenscanResult(radii=radii, levels=levels, branches=branches,
-                           omega_mu=float(omega_mu), c3=float(c3))
+    return EigenscanResult(radii=radii, branches=branches)
 
 
 def count_branch_crossings(result, r_threshold=None):

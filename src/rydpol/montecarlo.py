@@ -106,16 +106,12 @@ class WriteResult:
     """Accepted polaritons after hard-sphere blockade."""
 
     polariton_positions: np.ndarray  # (n, 3) um
-    n_polaritons: int
     n_candidates: int
 
-    def __post_init__(self):
-        positions = np.asarray(self.polariton_positions, dtype=float).reshape(-1, 3)
-        object.__setattr__(self, "polariton_positions", positions)
-        if self.n_polaritons != positions.shape[0]:
-            raise ValueError("n_polaritons does not match the position count")
-        if self.n_polaritons > self.n_candidates:
-            raise ValueError("cannot accept more polaritons than candidates")
+    @property
+    def n_polaritons(self):
+        """Number of stored polaritons, the rows of polariton_positions."""
+        return len(self.polariton_positions)
 
 
 #: Candidates per distance matrix in write_polaritons, which bounds its
@@ -146,8 +142,7 @@ def write_polaritons(cloud, r_o):
             if not any(row[t] for t in taken):
                 taken.append(index)
         accepted = others[taken]
-    return WriteResult(polariton_positions=accepted, n_polaritons=len(accepted),
-                       n_candidates=len(candidates))
+    return WriteResult(polariton_positions=accepted, n_candidates=len(candidates))
 
 
 def _written_register(config, r_o, seed, trial, bit_generator, min_candidates=0):
@@ -163,8 +158,7 @@ def _written_register(config, r_o, seed, trial, bit_generator, min_candidates=0)
     if n_candidates < min_candidates:
         return None
     if n_candidates == 0:
-        return WriteResult(polariton_positions=np.empty((0, 3)), n_polaritons=0,
-                           n_candidates=0)
+        return WriteResult(polariton_positions=np.empty((0, 3)), n_candidates=0)
     cloud = _cloud(config, n_candidates,
                    _rekeyed_stream(bit_generator, seed, _STAGE_CLOUD, trial))
     return write_polaritons(cloud, r_o)
@@ -247,30 +241,8 @@ def _check_pulse(config, pulse_duration):
             f"got {pulse_duration!r}")
 
 
-def _check_shot(config, omega_mu, pulse_duration):
-    if not (math.isfinite(omega_mu) and omega_mu >= 0):
-        raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
-    _check_pulse(config, pulse_duration)
-
-
-def simulate_shot(config, pair_coeffs, omega_mu, pulse_duration, seed, trial=0):
-    """One store-rotate-retrieve trial; returns the detected photon count.
-
-    The microwave pulse (area Theta = 2*pi*omega_mu*pulse_duration) rotates
-    the stored register; phase-matched retrieval projects onto the all-s
-    register, so every polariton is retrieved with the same probability
-    (all-s return probability) * BASE_RETRIEVAL_EFFICIENCY, independently.
-    The common gate keeps the mean signal proportional to [cos^2(Theta/2)]^N
-    for free rotation while the independent draws keep the photon statistics
-    of N independent emitters (g2(0) = 1 - 1/N).  Detection thinning and
-    Poisson background in the gate window follow.
-    """
-    _check_shot(config, omega_mu, pulse_duration)
-    return _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, [trial])[0]
-
-
 def _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, trials):
-    """Detected counts of the given trials (see simulate_shot), inputs already checked.
+    """Detected counts of the given trials (see run_shots), inputs already checked.
 
     The chunk's streams are drawn from one re-keyed bit generator.
     """
@@ -293,9 +265,22 @@ def _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, trials):
 
 
 def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threads=1):
-    """Detected photon counts for `trials` independent shots (trial-indexed streams)."""
+    """Detected photon counts for `trials` independent store-rotate-retrieve shots.
+
+    Each shot draws from its trial's own streams.  The microwave pulse (area
+    Theta = 2*pi*omega_mu*pulse_duration) rotates the stored register;
+    phase-matched retrieval projects onto the all-s register, so every
+    polariton is retrieved with the same probability (all-s return
+    probability) * BASE_RETRIEVAL_EFFICIENCY, independently.  The common gate
+    keeps the mean signal proportional to [cos^2(Theta/2)]^N for free
+    rotation while the independent draws keep the photon statistics of N
+    independent emitters (g2(0) = 1 - 1/N).  Detection thinning and Poisson
+    background in the gate window follow.
+    """
     _check_trials(trials)
-    _check_shot(config, omega_mu, pulse_duration)
+    if not (math.isfinite(omega_mu) and omega_mu >= 0):
+        raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
+    _check_pulse(config, pulse_duration)
     counts = _map_blocks(
         partial(_shot_chunk, config, pair_coeffs, omega_mu, pulse_duration, seed),
         np.arange(trials), threads if trials >= 64 else 1)
@@ -332,18 +317,21 @@ def _detector_codes(detectors):
 class ClickRecord:
     """Time-tagged detector events for a run of n_trials identical trials.
 
-    n_trials must be a positive integer.  Events at or past n_trials
-    repetition periods are kept in the record; hbt_g2 drops them.
+    n_trials must be a positive integer and repetition_period a positive,
+    finite time.  Events at or past n_trials repetition periods are kept in
+    the record; hbt_g2 drops them.
     """
 
     times: np.ndarray       # absolute event times (us), sorted
     detectors: np.ndarray   # 'A' or 'B' per event
     n_trials: int
-    window: tuple           # (start, end) us within each repetition period
-    repetition_period: float
+    repetition_period: float  # us
 
     def __post_init__(self):
         _check_trials(self.n_trials)
+        if not 0 < self.repetition_period < math.inf:
+            raise ValueError(
+                f"repetition_period must be positive and finite, got {self.repetition_period!r}")
         times = np.asarray(self.times, dtype=float)
         detectors = np.asarray(self.detectors)
         if times.shape != detectors.shape or times.ndim != 1:
@@ -354,9 +342,6 @@ class ClickRecord:
         if np.any(times[1:] < times[:-1]):
             raise ValueError("event times must be sorted")
         _detector_codes(detectors)
-        start, end = self.window
-        if not (0 <= start < end <= self.repetition_period):
-            raise ValueError(f"window {self.window} must lie inside one period")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "detectors", detectors)
 
@@ -425,8 +410,7 @@ def generate_click_stream(config, per_trial_photon_counts, seed):
     codes = rng.integers(0, 2, size=times.size).astype(np.uint32)
     codes += _DETECTOR_A
     return ClickRecord(times=times, detectors=codes[order].view(_LABEL_DTYPE),
-                       n_trials=int(n_trials), window=(float(start), float(end)),
-                       repetition_period=float(config.repetition_period))
+                       n_trials=int(n_trials), repetition_period=float(config.repetition_period))
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +581,12 @@ class DriftSpec:
         """Spec whose efficiency time series has the given Var^0.5/Mean."""
         if not relative_std >= 0:
             raise ValueError(f"drift relative std must be >= 0, got {relative_std!r}")
-        return cls(amplitude=relative_std * math.sqrt(2.0), rng_seed=rng_seed)
+        amplitude = relative_std * math.sqrt(2.0)
+        # a sinusoid's relative std is below 1/sqrt(2), where the amplitude reaches 1
+        if not amplitude < 1.0:
+            raise ValueError(f"drift relative std must be below 1/sqrt(2) = "
+                             f"{math.sqrt(0.5):.4f}, got {relative_std!r}")
+        return cls(amplitude=amplitude, rng_seed=rng_seed)
 
     def modulation(self, trial_indices):
         """Relative efficiency (1 + m_t) / (1 + amplitude), in (0, 1]."""

@@ -8,16 +8,20 @@ checked for byte-level reproducibility against the manifest checksums.
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rydpol.cli import main
+from rydpol.cli import _json_text, main
 from rydpol.config import ExperimentConfig
 from rydpol.fitting import lorentzian
 from rydpol.rng import philox_stream
+
+# a NaN or an overflow in a command's arithmetic fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run_cli(*argv):
@@ -77,6 +81,15 @@ class TestExitCodes:
         assert err.startswith("rydpol: error: ") and "-0.1" in err
         assert not any(tmp_path.iterdir())
 
+    def test_drift_std_beyond_a_sinusoid_names_the_flag_value(self, tmp_path, capsys):
+        code = run_cli("g2", "--drift-std", "0.8", "--trials", 1000,
+                       "--output-dir", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rydpol: error: drift relative std must be below 1/sqrt(2)")
+        assert "0.8" in err and "amplitude" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_input_file_is_computation_error(self, tmp_path, capsys):
         code = run_cli("fit", "--model", "lorentzian",
                        "--input", tmp_path / "nope.csv",
@@ -89,6 +102,31 @@ class TestExitCodes:
         code = run_cli("radius", "--config", bad, "--output-dir", tmp_path)
         assert code == 1
         assert "not_a_real_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"background_rate": null}', "background_rate"),
+        ('{"retrieval_window": 5}', "retrieval_window")])
+    def test_wrong_config_type_is_computation_error(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli("protocol", "--config", bad, "--trials", 10, "--output-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"rydpol: error: {key} must")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_protocol_needs_two_trials(self, tmp_path, capsys, trials):
+        code = run_cli("protocol", "--trials", trials, "--threads", 1,
+                       "--output-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("rydpol: error: --trials must be >= 2")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_artifacts_refuse_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            _json_text({"sem_detected": value})
 
     def test_success_returns_zero(self, tmp_path):
         assert run_cli("radius", "--output-dir", tmp_path) == 0

@@ -131,6 +131,23 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="retrieval_window"):
             ExperimentConfig(retrieval_window=window)
 
+    @pytest.mark.parametrize("values, key", [
+        ({"retrieval_window": 5}, "retrieval_window"),
+        ({"retrieval_window": [1, "a"]}, "retrieval_window"),
+        ({"retrieval_window": [1.0, 1.2, 1.4]}, "retrieval_window"),
+        ({"retrieval_window": [1.0, math.nan]}, "retrieval_window"),
+        ({"background_rate": None}, "background_rate"),
+        ({"background_rate": "0.1"}, "background_rate"),
+        ({"background_rate": math.inf}, "background_rate"),
+        ({"detection_efficiency": "x"}, "detection_efficiency"),
+        ({"detection_efficiency": math.nan}, "detection_efficiency"),
+        ({"detection_efficiency": True}, "detection_efficiency"),
+        ({"eit_width": True}, "eit_width"),
+    ])
+    def test_wrong_types_name_the_key(self, values, key):
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            ExperimentConfig.from_dict(values)
+
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"cloud_wz": 25.0, "clowd_wr": 3.0}))

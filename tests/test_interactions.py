@@ -25,13 +25,15 @@ import rydpol.interactions as interactions
 from rydpol.collective import retrieval_probability
 from rydpol.interactions import (
     LEVELS,
-    MU_MINUS,
-    MU_PLUS,
     MU_Z,
     SiteBasis,
+    _EXCHANGE_BRACKET,
+    _HOP_MINUS_PLUS,
+    _HOP_PLUS_MINUS,
     _centrosymmetric,
     _block_eigh,
     _check_hermitian,
+    _embed,
     _pi_sector_drive,
     _pi_sector_tables,
     build_dd_hamiltonian,
@@ -144,16 +146,65 @@ class TestSiteBasis:
 
 class TestDipoleOperators:
     def test_spherical_adjoint_relation(self):
-        assert np.array_equal(MU_MINUS, -MU_PLUS.conj().T)
+        # mu_- = -mu_+^dag makes the sigma-/sigma+ channel the adjoint of sigma+/sigma-
+        assert np.array_equal(_HOP_MINUS_PLUS, _HOP_PLUS_MINUS.T)
 
     def test_pi_component_symmetric(self):
         assert np.array_equal(MU_Z, MU_Z.T)
 
     def test_selection_rules_change_m_by_q(self):
+        # the pi component keeps m on its site; every exchange channel moves
+        # m from one site to the other and keeps the pair's total
         m = np.array([0, -1, 0, 1])
-        for op, q in [(MU_PLUS, 1), (MU_MINUS, -1), (MU_Z, 0)]:
+        rows, cols = np.nonzero(MU_Z)
+        assert np.all(m[rows] == m[cols])
+        pair_m = (m[:, None] + m[None, :]).ravel()
+        for op in (_HOP_PLUS_MINUS, _HOP_MINUS_PLUS, _EXCHANGE_BRACKET):
             rows, cols = np.nonzero(op)
-            assert np.all(m[rows] - m[cols] == q)
+            assert rows.size and np.all(pair_m[rows] == pair_m[cols])
+
+
+class TestEmbed:
+    """_embed against the kron-chain oracle, one entry of the operator at a time."""
+
+    @staticmethod
+    def oracle(op, sites, n_sites):
+        out = np.zeros((4 ** n_sites, 4 ** n_sites))
+        for row, col in zip(*np.nonzero(op)):
+            factors = [np.eye(4)] * n_sites
+            kets = np.unravel_index(row, (4,) * len(sites))
+            bras = np.unravel_index(col, (4,) * len(sites))
+            for site, ket, bra in zip(sites, kets, bras):
+                factors[site] = np.zeros((4, 4))
+                factors[site][ket, bra] = 1.0
+            out += op[row, col] * kron_embed(factors)
+        return out
+
+    @staticmethod
+    def lifted(op, sites, n_sites):
+        rows, cols, values = _embed(op, sites, n_sites)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+        out = np.zeros((4 ** n_sites, 4 ** n_sites))
+        out[rows, cols] += values
+        return out
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    def test_single_site(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        op = rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.6)
+        for site in range(n_sites):
+            for matrix in (MU_Z, op):
+                assert np.array_equal(self.lifted(matrix, (site,), n_sites),
+                                      self.oracle(matrix, (site,), n_sites))
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4])
+    def test_every_ordered_pair(self, n_sites):
+        rng = np.random.default_rng(10 + n_sites)
+        op = rng.normal(size=(16, 16)) * (rng.random((16, 16)) < 0.3)
+        for i, j in itertools.permutations(range(n_sites), 2):
+            for matrix in (_EXCHANGE_BRACKET, op):
+                assert np.array_equal(self.lifted(matrix, (i, j), n_sites),
+                                      self.oracle(matrix, (i, j), n_sites))
 
 
 class TestDriveHamiltonian:
@@ -622,7 +673,8 @@ class TestParitySplit:
                 patch.object(np.linalg, "eigh", shifted):
             with pytest.raises(RuntimeError, match="eigenpair residual"):
                 eigenspectrum(h, return_vectors=True)
-            eigenspectrum(h)
+            with pytest.raises(RuntimeError, match="eigenpair residual"):
+                eigenspectrum(h)
 
     @pytest.mark.parametrize("matrix", [
         build_hamiltonian(SiteBasis(1), [[0.0, 0.0, 0.0]], 3.0, C3).matrix,
@@ -672,9 +724,8 @@ class TestCheckedSolveRejects:
         if shape == "stack":
             good = planted(None, seed=4).astype(bad.dtype)
             bad = np.stack([good, bad, good])
-        for check_vectors in (True, False):
-            with pytest.raises(ValueError, match=message):
-                _block_eigh(bad, check_vectors=check_vectors)
+        with pytest.raises(ValueError, match=message):
+            _block_eigh(bad)
         if shape == "single":
             with pytest.raises(ValueError, match=message):
                 eigenspectrum(bad)
@@ -786,13 +837,15 @@ class TestPairEigenscan:
     def test_shapes_and_radii(self):
         scan = pair_eigenscan(omega_mu=50.0, c3=C3, r_min=5.0, r_max=15.0, steps=21)
         assert scan.radii.shape == (21,)
-        assert scan.levels.shape == (21, 16)
         assert scan.branches.shape == (21, 16)
         assert scan.radii[0] == 5.0 and scan.radii[-1] == 15.0
 
     def test_levels_sorted_rows(self):
+        # each row of branches, sorted, is the spectrum at its radius
         scan = pair_eigenscan(omega_mu=50.0, c3=C3, r_min=5.0, r_max=15.0, steps=11)
-        assert np.all(np.diff(scan.levels, axis=1) >= 0)
+        for r, row in zip(scan.radii, scan.branches):
+            h = build_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, r]], 50.0, C3)
+            assert np.array_equal(np.sort(row), eigenspectrum(h))
 
     def test_branches_continuous(self):
         scan = pair_eigenscan(omega_mu=80.0, c3=C3, r_min=5.0, r_max=20.0, steps=301)
@@ -805,7 +858,7 @@ class TestPairEigenscan:
         scan = pair_eigenscan(omega_mu=30.0, c3=C3, r_min=60.0, r_max=90.0, steps=4)
         drive = eigenspectrum(build_drive_hamiltonian(SiteBasis(2), 30.0))
         v_res = abs(C3) * 1e3 / 60.0 ** 3
-        assert np.abs(np.sort(scan.levels[0]) - drive).max() < 4 * v_res
+        assert np.abs(np.sort(scan.branches[0]) - drive).max() < 4 * v_res
 
     def test_strong_drive_has_no_crossings_beyond_contact(self):
         scan = pair_eigenscan(omega_mu=200.0, c3=C3, r_min=4.0, r_max=20.0, steps=200)
@@ -827,7 +880,6 @@ class TestPairEigenscan:
     def test_deterministic(self):
         a = pair_eigenscan(omega_mu=35.0, c3=C3, r_min=5.0, r_max=12.0, steps=40)
         b = pair_eigenscan(omega_mu=35.0, c3=C3, r_min=5.0, r_max=12.0, steps=40)
-        assert np.array_equal(a.levels, b.levels)
         assert np.array_equal(a.branches, b.branches)
 
     @pytest.mark.parametrize("kwargs", [

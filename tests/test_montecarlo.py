@@ -43,7 +43,6 @@ from rydpol.montecarlo import (
     CloudSample,
     DriftSpec,
     G2Result,
-    WriteResult,
     background_correct_g2,
     efficiency_drift_model,
     emitter_photon_counts,
@@ -54,7 +53,6 @@ from rydpol.montecarlo import (
     sample_positions,
     simulate_hbt_run,
     simulate_rabi_scan,
-    simulate_shot,
     write_polaritons,
 )
 from rydpol.rng import philox_stream
@@ -72,6 +70,11 @@ def sequential_write(positions, r_o):
         if all(np.linalg.norm(point - prior) >= r_o for prior in accepted):
             accepted.append(point)
     return np.array(accepted, dtype=float).reshape(-1, 3)
+
+
+def single_shot(config, omega, pulse, seed, trial):
+    """The detected count of one trial, drawn alone."""
+    return _shot_chunk(config, RB60_PAIR, omega, pulse, seed, [trial])[0]
 
 
 def trial_writes(config, seed, trials):
@@ -218,13 +221,13 @@ class TestBlockadedWrite:
         ns = np.array([w.n_polaritons for w in trial_writes(CFG, 7, range(10_000))])
         assert 2.5 <= ns.mean() <= 3.7
 
-    def test_write_result_validation(self):
-        with pytest.raises(ValueError):
-            WriteResult(polariton_positions=np.zeros((2, 3)), n_polaritons=1,
-                        n_candidates=5)
-        with pytest.raises(ValueError):
-            WriteResult(polariton_positions=np.zeros((3, 3)), n_polaritons=3,
-                        n_candidates=2)
+    def test_n_polaritons_counts_the_stored_positions(self):
+        # dim light so that some trials draw no candidate at all
+        writes = list(trial_writes(replace(CFG, mean_input_photons=2.0), 9, range(300)))
+        assert {w.n_polaritons for w in writes} >= {0, 1, 2}
+        for write in writes:
+            assert write.polariton_positions.shape == (write.n_polaritons, 3)
+            assert write.n_polaritons <= write.n_candidates
 
     @pytest.mark.parametrize("r_o", [0.0, -1.0, math.inf])
     def test_radius_validation(self, r_o):
@@ -261,8 +264,7 @@ class TestSimulateShot:
         assert strong.mean() <= 0.05 * base.mean()
 
     def test_deterministic_per_trial(self):
-        serial = [simulate_shot(CFG, RB60_PAIR, 12.0, 0.1, 21, trial=t)
-                  for t in range(40)]
+        serial = [single_shot(CFG, 12.0, 0.1, 21, t) for t in range(40)]
         assert np.array_equal(run_shots(CFG, RB60_PAIR, 12.0, 0.1, 40, 21), serial)
 
     def test_threads_bit_identical(self):
@@ -272,11 +274,11 @@ class TestSimulateShot:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="pulse_duration"):
-            simulate_shot(CFG, RB60_PAIR, 10.0, CFG.storage_time + 0.1, 1)
+            run_shots(CFG, RB60_PAIR, 10.0, CFG.storage_time + 0.1, 1, 1)
         with pytest.raises(ValueError, match="pulse_duration"):
-            simulate_shot(CFG, RB60_PAIR, 10.0, -0.01, 1)
+            run_shots(CFG, RB60_PAIR, 10.0, -0.01, 1, 1)
         with pytest.raises(ValueError, match="omega_mu"):
-            simulate_shot(CFG, RB60_PAIR, -5.0, 0.1, 1)
+            run_shots(CFG, RB60_PAIR, -5.0, 0.1, 1, 1)
         with pytest.raises(ValueError, match="trials"):
             run_shots(CFG, RB60_PAIR, 10.0, 0.1, 0, 1)
 
@@ -333,7 +335,7 @@ class TestShotStreams:
         expected = [self.reference_count(config, 6.0, 0.05, 29, t) for t in range(300)]
         counts = run_shots(config, RB60_PAIR, 6.0, 0.05, 300, 29)
         assert counts.tolist() == expected
-        assert [simulate_shot(config, RB60_PAIR, 6.0, 0.05, 29, trial=t)
+        assert [single_shot(config, 6.0, 0.05, 29, t)
                 for t in range(0, 300, 37)] == expected[::37]
         assert counts.sum() > 0
 
@@ -351,7 +353,7 @@ class TestShotStreams:
         # one chunk's shared bit generator: order and repeats do not matter
         trials = [7, 3, 7, 12, 3]
         chunk = _shot_chunk(CFG, RB60_PAIR, 6.0, 0.05, 41, trials)
-        assert chunk == [simulate_shot(CFG, RB60_PAIR, 6.0, 0.05, 41, trial=t) for t in trials]
+        assert chunk == [single_shot(CFG, 6.0, 0.05, 41, t) for t in trials]
 
 
 class TestClickStream:
@@ -395,13 +397,14 @@ class TestClickStream:
             generate_click_stream(CFG, np.array([1, -2]), 1)
         with pytest.raises(ValueError):
             ClickRecord(times=np.array([2.0, 1.0]), detectors=np.array(["A", "B"]),
-                        n_trials=2, window=(1.0, 1.5), repetition_period=6.0)
+                        n_trials=2, repetition_period=6.0)
         with pytest.raises(ValueError):
             ClickRecord(times=np.array([1.0]), detectors=np.array(["C"]),
-                        n_trials=1, window=(1.0, 1.5), repetition_period=6.0)
-        with pytest.raises(ValueError):
-            ClickRecord(times=np.array([1.0]), detectors=np.array(["A"]),
-                        n_trials=1, window=(5.0, 7.0), repetition_period=6.0)
+                        n_trials=1, repetition_period=6.0)
+        for period in (0.0, -6.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="repetition_period"):
+                ClickRecord(times=np.array([1.0]), detectors=np.array(["A"]),
+                            n_trials=1, repetition_period=period)
 
     @pytest.mark.parametrize("counts", [[1.5, 2.9, 0.2], [1.0, 0.5], np.array([2, 1e-9])])
     def test_non_integral_counts_rejected(self, counts):
@@ -418,7 +421,7 @@ class TestClickStream:
     def test_n_trials_must_be_a_positive_integer(self, n_trials):
         with pytest.raises(ValueError, match="positive integer"):
             ClickRecord(times=np.array([1.1]), detectors=np.array(["A"]),
-                        n_trials=n_trials, window=(1.0, 1.5), repetition_period=6.0)
+                        n_trials=n_trials, repetition_period=6.0)
 
 
 LABEL_CASES = [(container, label) for container in ("<U1", "<U2", "object", "list")
@@ -435,7 +438,7 @@ class TestDetectorLabels:
     def test_only_a_and_b_pass(self, container, label):
         detectors = labels_in(container, ["A", label, "B"])
         build = partial(ClickRecord, times=np.array([1.1, 7.2, 13.3]), detectors=detectors,
-                        n_trials=3, window=(1.0, 1.5), repetition_period=6.0)
+                        n_trials=3, repetition_period=6.0)
         if label in ("A", "B"):
             assert build().n_trials == 3
             assert _detector_codes(detectors).tolist() == [65, ord(label), 66]
@@ -650,6 +653,14 @@ class TestDrift:
             DriftSpec(amplitude=1.0)
         with pytest.raises(ValueError):
             DriftSpec(amplitude=-0.1)
+
+    @pytest.mark.parametrize("relative_std", [0.8, math.sqrt(0.5), math.inf])
+    def test_relative_std_beyond_a_sinusoid_rejected(self, relative_std):
+        # the message names the drift std and its bound, not the amplitude
+        with pytest.raises(ValueError, match=rf"relative std must be below 1/sqrt\(2\) = 0\.7071, "
+                                             rf"got {relative_std!r}"):
+            DriftSpec.from_relative_std(relative_std)
+        assert DriftSpec.from_relative_std(0.7071).amplitude < 1.0
 
     @pytest.mark.parametrize("relative_std", [-0.1, -1e-9, math.nan])
     def test_negative_relative_std_rejected(self, relative_std):
