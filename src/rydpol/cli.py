@@ -39,7 +39,6 @@ from .structure import (
     binding_energy,
     numerov_wavefunction,
     radial_matrix_element,
-    transition_dipole,
     transition_frequency,
 )
 
@@ -65,6 +64,7 @@ def _json_text(payload):
 
 
 def _csv_text(header, rows):
+    """Strict CSV: a NaN or infinite cell raises ValueError rather than being written."""
     lines = [header]
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
@@ -74,7 +74,10 @@ def _csv_text(header, rows):
 def _format_cell(cell):
     if isinstance(cell, (int, np.integer)):
         return str(int(cell))
-    return format(float(cell), ".12g")
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"refusing to write a non-finite CSV cell ({value})")
+    return format(value, ".12g")
 
 
 def _emit(args, config, artifacts, seed=None):
@@ -138,7 +141,7 @@ def _cmd_structure(args):
         "energy_ghz": binding_energy(model, *upper),
         "transition_ghz": transition_frequency(model, upper, lower),
         "radial_element_ea0": radial,
-        "dipole_ea0": transition_dipole(radial, REFERENCE_ANGULAR_FACTOR),
+        "dipole_ea0": radial * REFERENCE_ANGULAR_FACTOR,
     }
     return _emit(args, config, {"structure.json": _json_text(payload)})
 
@@ -147,6 +150,9 @@ def _cmd_rabi_curve(args):
     config = _resolve_config(args)
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
+    # checked before linspace, which warns on an infinite end point
+    if not math.isfinite(args.theta_max):
+        raise ValueError(f"--theta-max must be finite, got {args.theta_max}")
     thetas = np.linspace(0.0, args.theta_max, args.steps)
     rows = [(theta, retrieval_probability(args.n_polaritons, theta))
             for theta in thetas]

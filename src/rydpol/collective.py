@@ -98,11 +98,15 @@ def wigner_d_matrix(j, theta):
 def retrieval_probability(n_polaritons, theta):
     """Collective retrieval law [cos^2(theta/2)]^N for N stored polaritons.
 
-    theta may be a scalar or array (radians). N = 0 returns 1: with nothing
-    stored the phase-matched mode is trivially unperturbed.
+    theta may be a scalar or array (radians) and must be finite. N = 0
+    returns 1: with nothing stored the phase-matched mode is trivially
+    unperturbed.
     """
     if not (isinstance(n_polaritons, (int, np.integer)) and n_polaritons >= 0):
         raise ValueError(f"n_polaritons must be a non-negative integer, got {n_polaritons!r}")
     theta = np.asarray(theta, dtype=float)
+    bad = theta[~np.isfinite(theta)]
+    if bad.size:
+        raise ValueError(f"theta must be finite, got {bad[0]}")
     prob = np.cos(theta / 2.0) ** (2 * int(n_polaritons))
     return prob if prob.ndim else float(prob)

@@ -123,16 +123,19 @@ def _blocked_max(parts):
 
 
 def _check_hermitian(matrix, what):
-    """Raise unless `matrix` (or each matrix of a stack) is finite and Hermitian.
+    """Raise unless `matrix` (or each matrix of a stack) is finite and real symmetric.
 
-    Hermitian means max|H - H^dag| <= 1e-12 max|H| for each matrix.  Both
-    maxima are taken over blocks of _HERMITIAN_CHECK_ROWS rows, so no
+    Every solve passes here, so each matrix is checked once, where it is
+    solved.  Complex input is refused: every Hamiltonian the model builds is
+    real.  Symmetric means max|H - H^T| <= 1e-12 max|H| for each matrix.
+    Both maxima are taken over blocks of _HERMITIAN_CHECK_ROWS rows, so no
     temporary is larger than one block.  The finite test reads max|H|, since
-    a max propagates NaN and inf.  A real matrix is compared with its
-    transpose, and H - H^T is antisymmetric, so its largest entry over all
-    blocks is its largest |entry|: the comparison needs no conjugate or
+    a max propagates NaN and inf.  H - H^T is antisymmetric, so its largest
+    entry over all blocks is its largest |entry|: the comparison needs no
     absolute-value copy.
     """
+    if np.iscomplexobj(matrix):
+        raise ValueError(f"{what} must be real symmetric, got {matrix.dtype} entries")
     size = matrix.shape[-1]
     if size <= _HERMITIAN_CHECK_ROWS:
         blocks = [(matrix, matrix.swapaxes(-2, -1))]
@@ -143,31 +146,20 @@ def _check_hermitian(matrix, what):
     scale = _blocked_max(np.abs(rows) for rows, _ in blocks)
     if _any(~np.isfinite(scale)):
         raise ValueError(f"{what} has non-finite entries")
-    if matrix.dtype.kind == "c":
-        skew = _blocked_max(np.abs(rows - mirror.conj()) for rows, mirror in blocks)
-    else:
-        skew = _blocked_max(rows - mirror for rows, mirror in blocks)
+    skew = _blocked_max(rows - mirror for rows, mirror in blocks)
     if _any(skew > _HERMITICITY_RTOL * scale):
         raise ValueError(f"{what} is not Hermitian")
 
 
 @dataclass(frozen=True, eq=False)
 class SiteHamiltonian:
-    """An assembled Hamiltonian on a SiteBasis.
+    """An assembled Hamiltonian on the 4^n product basis of a SiteBasis.
 
-    `matrix` holds E/h in MHz and is validated Hermitian on construction.
+    `matrix` holds E/h in MHz and is real symmetric; it is checked where it
+    is solved, not on construction.
     """
 
-    basis: SiteBasis
     matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix)
-        if matrix.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match basis dimension {self.basis.dim}")
-        _check_hermitian(matrix, "site Hamiltonian")
-        object.__setattr__(self, "matrix", matrix)
 
 
 def _embed(op, sites, n_sites):
@@ -209,7 +201,7 @@ def build_drive_hamiltonian(basis, omega_mu):
     for site in range(basis.n_sites):
         rows, cols, values = _embed(MU_Z, (site,), basis.n_sites)
         matrix[rows, cols] += 0.5 * omega_mu * values
-    return SiteHamiltonian(basis=basis, matrix=matrix)
+    return SiteHamiltonian(matrix=matrix)
 
 
 def build_dd_hamiltonian(basis, positions, c3):
@@ -240,14 +232,14 @@ def build_dd_hamiltonian(basis, positions, c3):
         v_ij = c3 * 1e3 / r_ij ** 3
         rows, cols, values = _embed(_EXCHANGE_BRACKET, (i, j), basis.n_sites)
         matrix[rows, cols] += v_ij * values
-    return SiteHamiltonian(basis=basis, matrix=matrix)
+    return SiteHamiltonian(matrix=matrix)
 
 
 def build_hamiltonian(basis, positions, omega_mu, c3):
     """Drive plus dipole-dipole exchange in one call."""
     drive = build_drive_hamiltonian(basis, omega_mu).matrix
     exchange = build_dd_hamiltonian(basis, positions, c3).matrix
-    return SiteHamiltonian(basis=basis, matrix=drive + exchange)
+    return SiteHamiltonian(matrix=drive + exchange)
 
 
 def _distances(diffs):
@@ -357,9 +349,10 @@ def _as_matrix(h):
 
 
 def eigenspectrum(h, return_vectors=False):
-    """Ascending real eigenvalues of a Hermitian Hamiltonian (optionally vectors).
+    """Ascending eigenvalues of a real symmetric Hamiltonian (optionally vectors).
 
-    Accepts a SiteHamiltonian or a raw Hermitian matrix.  Each eigenpair is
+    Accepts a SiteHamiltonian or a raw real symmetric matrix, and raises
+    ValueError on a complex, non-finite or asymmetric one.  Each eigenpair is
     checked to satisfy ||H v - w v|| <= 1e-9 ||H||, vectors requested or not.
     A matrix of at least 2048 entries that is exactly centrosymmetric
     (P H P = H for the reversal P, the global flip of a pi-sector register)
@@ -400,9 +393,9 @@ def _centrosymmetric(matrices):
 
 
 def _block_eigh(matrices):
-    """Checked np.linalg.eigh of one Hermitian matrix or a stack (..., d, d).
+    """Checked np.linalg.eigh of one real symmetric matrix or a stack (..., d, d).
 
-    Raises ValueError unless every matrix is finite and Hermitian, and
+    Raises ValueError unless every matrix is finite and real symmetric, and
     RuntimeError unless every eigenpair satisfies
     ||H v - w v|| <= 1e-9 ||H|| (||H|| = largest |eigenvalue| of that matrix).
 
@@ -431,9 +424,8 @@ def _block_eigh(matrices):
     misfit = blocks @ v
     misfit -= v * w[..., None, :]
     # largest squared column norm; sqrt is monotonic, so one sqrt per matrix
-    squares = np.einsum("...ij,...ij->...j",
-                        misfit.conj() if misfit.dtype.kind == "c" else misfit, misfit)
-    residuals = np.sqrt(squares.real.max(axis=(0, -1), initial=0.0))
+    squares = np.einsum("...ij,...ij->...j", misfit, misfit)
+    residuals = np.sqrt(squares.max(axis=(0, -1), initial=0.0))
     bad = residuals > 1e-9 * h_norm
     if _any(bad):
         first = np.flatnonzero(bad)[0]
@@ -497,7 +489,7 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
             columns = np.arange(basis.dim)
         else:
             # maximal successive eigenvector overlap; eigenvalue proximity as tie-break
-            overlap = np.abs(tracked_vectors.conj().T @ v) ** 2
+            overlap = np.abs(tracked_vectors.T @ v) ** 2
             cost = -overlap + 1e-9 * np.abs(tracked_values[:, None] - w[None, :])
             _, columns = linear_sum_assignment(cost)
         branches[k] = w[columns]
@@ -530,7 +522,10 @@ def count_branch_crossings(result, r_threshold=None):
 
 
 def time_evolve(h, psi0, t):
-    """psi(t) = exp(-2*pi*i*H*t) psi0, H in MHz and a scalar t in us, by spectral decomposition."""
+    """psi(t) = exp(-2*pi*i*H*t) psi0, H in MHz and a scalar t in us, by spectral decomposition.
+
+    H must be real symmetric, as in eigenspectrum; psi0 may be complex.
+    """
     if np.ndim(t) != 0:
         raise ValueError(f"t must be a scalar, got shape {np.shape(t)}")
     matrix = _as_matrix(h)
@@ -541,9 +536,6 @@ def time_evolve(h, psi0, t):
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be normalized, got ||psi0|| = {norm:.6g}")
     w, v = eigenspectrum(matrix, return_vectors=True)
-    if v.dtype.kind == "c":
-        coefficients = v.conj().T @ psi0
-        return v @ (np.exp(-2j * np.pi * w * float(t)) * coefficients)
     # real eigenvectors act on (real, imaginary) pairs, without a complex copy of v
     coefficients = (v.T @ _pairs(psi0)).view(complex).ravel()
     return (v @ _pairs(np.exp(-2j * np.pi * w * float(t)) * coefficients)).view(complex).ravel()

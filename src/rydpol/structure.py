@@ -251,12 +251,5 @@ def radial_matrix_element(wf_a, wf_b, power=1):
     return float(_trapz(ua * r ** power * ub, r))
 
 
-def transition_dipole(radial_element, angular_factor):
-    """Dipole matrix element in e*a0: radial element times the angular factor."""
-    if not math.isfinite(radial_element) or not math.isfinite(angular_factor):
-        raise ValueError("radial_element and angular_factor must be finite")
-    return radial_element * angular_factor
-
-
 #: Angular factor of the reference ns_{1/2} -> (n-1)p_{3/2} sigma+ transition.
 REFERENCE_ANGULAR_FACTOR = math.sqrt(2.0 / 9.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydpol.cli import _json_text, main
+from rydpol.cli import _csv_text, _json_text, main
 from rydpol.config import ExperimentConfig
 from rydpol.fitting import lorentzian
 from rydpol.rng import philox_stream
@@ -127,6 +127,21 @@ class TestExitCodes:
     def test_json_artifacts_refuse_non_finite_numbers(self, value):
         with pytest.raises(ValueError):
             _json_text({"sem_detected": value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_csv_artifacts_refuse_non_finite_cells(self, value):
+        assert _csv_text("k,g2", [(1, 0.5)]) == "k,g2\n1,0.5\n"
+        with pytest.raises(ValueError, match="non-finite CSV cell"):
+            _csv_text("k,g2", [(1, 0.5), (2, value)])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_theta_max_is_computation_error(self, tmp_path, capsys, value):
+        code = run_cli("rabi-curve", "--theta-max", value, "--steps", 3,
+                       "--output-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"rydpol: error: --theta-max must be finite, got {value}")
+        assert not any(tmp_path.iterdir())
 
     def test_success_returns_zero(self, tmp_path):
         assert run_cli("radius", "--output-dir", tmp_path) == 0

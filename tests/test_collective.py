@@ -169,3 +169,9 @@ class TestRetrievalLaw:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             retrieval_probability(-1, 0.3)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf,
+                                       np.array([0.0, math.nan, 1.0])])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite, got (nan|inf|-inf)$"):
+            retrieval_probability(3, theta)

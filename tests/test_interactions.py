@@ -296,16 +296,22 @@ class TestExchangeHamiltonian:
         with pytest.raises(ValueError):
             build_dd_hamiltonian(SiteBasis(2), [[0, 0, bad], [0, 0, 8]], C3)
 
-    @given(positions=finite_positions, omega=st.floats(0, 300),
-           c3=st.floats(-200, 200))
+    @given(positions=finite_positions, omega=st.one_of(st.just(0.0), st.floats(0, 300)),
+           c3=st.one_of(st.just(0.0), st.floats(-200, 200)),
+           n=st.integers(1, 8), seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_always_hermitian(self, positions, omega, c3):
-        if not well_separated(positions):
-            return
-        basis = SiteBasis(len(positions))
-        h = build_hamiltonian(basis, positions, omega, c3)
-        assert np.abs(h.matrix - h.matrix.T).max() <= 1e-12 * max(
-            1.0, np.abs(h.matrix).max())
+    def test_always_hermitian(self, positions, omega, c3, n, seed):
+        # every builder makes float64, exactly symmetric matrices, which is
+        # all the checked solve accepts
+        matrices = [build_pi_sector_hamiltonian(random_register(n, seed), omega, c3)]
+        if well_separated(positions):
+            basis = SiteBasis(len(positions))
+            matrices += [build_hamiltonian(basis, positions, omega, c3).matrix,
+                         build_drive_hamiltonian(basis, omega).matrix,
+                         build_dd_hamiltonian(basis, positions, c3).matrix]
+        for h in matrices:
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
 
     @given(positions=finite_positions,
            shift=st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)))
@@ -568,7 +574,7 @@ def random_register(n, seed):
                             rng.normal(0, 60.0, n)])
 
 
-def centrosymmetric_stack(count, dim, seed, complex_valued):
+def centrosymmetric_stack(count, dim, seed, complex_valued=False):
     """Random Hermitian matrices H with P H P = H exactly (P the reversal)."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(count, dim, dim))
@@ -624,11 +630,10 @@ class TestPiSectorTables:
 class TestParitySplit:
     """Centrosymmetric matrices are solved as two half-size blocks."""
 
-    @given(st.integers(1, 4), st.integers(1, 16), st.integers(0, 2 ** 31 - 1),
-           st.booleans())
+    @given(st.integers(1, 4), st.integers(1, 16), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_stack_matches_dense_solve(self, count, half, seed, complex_valued):
-        stack = centrosymmetric_stack(count, 2 * half, seed, complex_valued)
+    def test_stack_matches_dense_solve(self, count, half, seed):
+        stack = centrosymmetric_stack(count, 2 * half, seed)
         assert _centrosymmetric(stack)
         dense = np.linalg.eigvalsh(stack)
         scale = np.abs(dense).max(axis=-1, keepdims=True)
@@ -641,7 +646,17 @@ class TestParitySplit:
                 w, v = eigenspectrum(h, return_vectors=True)
                 assert np.array_equal(w, merged[k])
                 assert np.abs(h @ v - v * w).max() <= 1e-12 * scale.max()
-                assert np.abs(v.conj().T @ v - np.eye(2 * half)).max() <= 1e-12
+                assert np.abs(v.T @ v - np.eye(2 * half)).max() <= 1e-12
+
+    def test_complex_stack_rejected(self):
+        # complex Hermitian and centrosymmetric: refused before the split test
+        stack = centrosymmetric_stack(3, 8, 11, complex_valued=True)
+        assert _centrosymmetric(stack)
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
+            with pytest.raises(ValueError, match="must be real symmetric"):
+                _block_eigh(stack)
+            with pytest.raises(ValueError, match="must be real symmetric"):
+                eigenspectrum(stack[0])
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1), st.floats(0.01, 50.0),
            st.sampled_from([0, None]))
@@ -707,6 +722,9 @@ def planted(kind, seed=3, dim=8):
         h[2, 2] = -np.inf
     elif kind == "asymmetric":
         h[1, 2] += 2e-12 * np.abs(h).max()
+    elif kind == "complex Hermitian":
+        y = rng.normal(size=(dim, dim))
+        h = h + 1j * (y - y.T)
     elif kind == "complex non-Hermitian":
         h = h + 1j * rng.normal(size=(dim, dim))
     return h
@@ -717,7 +735,8 @@ class TestCheckedSolveRejects:
 
     @pytest.mark.parametrize("kind, message", [
         ("nan", "non-finite"), ("+inf", "non-finite"), ("-inf", "non-finite"),
-        ("asymmetric", "not Hermitian"), ("complex non-Hermitian", "not Hermitian")])
+        ("asymmetric", "not Hermitian"), ("complex Hermitian", "real symmetric"),
+        ("complex non-Hermitian", "real symmetric")])
     @pytest.mark.parametrize("shape", ["single", "stack"])
     def test_defect_rejected(self, kind, message, shape):
         bad = planted(kind)
@@ -731,31 +750,30 @@ class TestCheckedSolveRejects:
                 eigenspectrum(bad)
             with pytest.raises(ValueError, match=message):
                 time_evolve(bad, np.eye(8)[0], 0.1)
-        elif not np.iscomplexobj(bad):
+        else:
             with pytest.raises(ValueError, match=message):
                 interactions._all_s_return_probabilities(bad, 0.1)
 
     @pytest.mark.parametrize("shape", ["single", "stack"])
     def test_tolerated_inputs_accepted(self, shape):
-        # asymmetry below 1e-12 relative, and a complex Hermitian matrix
+        # asymmetry below 1e-12 relative
         near = planted(None)
         near[1, 2] += 0.5e-12 * np.abs(near).max()
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        for h in (near, x + x.conj().T):
-            stack = h if shape == "single" else np.stack([h, h])
-            w, v, split = _block_eigh(stack)
-            assert not split
-            w, v = w[0], v[0]
-            assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * np.abs(w).max()
+        stack = near if shape == "single" else np.stack([near, near])
+        w, v, split = _block_eigh(stack)
+        assert not split
+        w, v = w[0], v[0]
+        assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * np.abs(w).max()
 
 
 def unblocked_hermitian_check(matrix):
     """The check on whole matrices: the message _check_hermitian raises, or None."""
+    if np.iscomplexobj(matrix):
+        return "real symmetric"
     scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
     if not np.all(np.isfinite(scale)):
         return "non-finite"
-    skew = np.abs(matrix - matrix.swapaxes(-2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(matrix - matrix.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     return "not Hermitian" if np.any(skew > 1e-12 * scale) else None
 
 
@@ -772,6 +790,7 @@ class TestHermitianCheckBlocks:
         x = rng.normal(size=(dim, dim))
         h = x + x.T
         if kind == "complex skew":
+            # Hermitian, and refused as complex
             y = rng.normal(size=(dim, dim))
             h = h + 1j * (y - y.T)
         i, j = rng.integers(0, dim, size=2)
@@ -780,7 +799,7 @@ class TestHermitianCheckBlocks:
         elif kind is not None:
             h[i, j] += size * 1e-12 * np.abs(h).max()
         if stacked:
-            h = np.stack([h.conj().T + h, h, h + h.conj().T])
+            h = np.stack([h.T + h, h, h + h.T])
         expected = unblocked_hermitian_check(h)
         if expected is None:
             _check_hermitian(h, "matrix")
@@ -822,10 +841,10 @@ class TestTimeEvolveAgainstExpm:
             psi = time_evolve(h, psi0, t)
         assert np.abs(psi - expm(-2j * np.pi * t * h)[:, 0]).max() <= 1e-12
 
-    def test_complex_hermitian_matrix(self):
+    def test_complex_state_on_real_matrix(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = 5.0 * (x + x.conj().T)
+        x = rng.normal(size=(6, 6))
+        h = 5.0 * (x + x.T)
         assert not _centrosymmetric(h)
         raw = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi0 = raw / np.linalg.norm(raw)

@@ -24,7 +24,6 @@ from rydpol.structure import (
     numerov_wavefunction,
     radial_expectation,
     radial_matrix_element,
-    transition_dipole,
     transition_frequency,
 )
 
@@ -143,7 +142,7 @@ class TestRubidiumWavefunctions:
 
     def test_reference_dipole(self, pair):
         element = abs(radial_matrix_element(*pair))
-        dipole = transition_dipole(element, REFERENCE_ANGULAR_FACTOR)
+        dipole = element * REFERENCE_ANGULAR_FACTOR
         assert dipole == pytest.approx(math.sqrt(2.0 / 9.0) * element, rel=1e-12)
         assert dipole == pytest.approx(1634.9, rel=0.02)
 
@@ -191,7 +190,3 @@ class TestGridAndErrors:
     def test_bad_r_min(self, rb):
         with pytest.raises(ValueError, match="r_min"):
             numerov_wavefunction(rb, 60, 0, 0.5, GridSpec(r_min=20000.0))
-
-    def test_transition_dipole_validates(self):
-        with pytest.raises(ValueError):
-            transition_dipole(math.nan, 0.3)
