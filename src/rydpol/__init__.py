@@ -24,8 +24,6 @@ from .structure import (
 )
 from .interactions import (
     SiteBasis,
-    build_dd_hamiltonian,
-    build_drive_hamiltonian,
     build_hamiltonian,
     build_pi_sector_hamiltonian,
     eigenspectrum,
@@ -73,8 +71,6 @@ __all__ = [
     "radial_matrix_element",
     "transition_frequency",
     "SiteBasis",
-    "build_dd_hamiltonian",
-    "build_drive_hamiltonian",
     "build_hamiltonian",
     "build_pi_sector_hamiltonian",
     "eigenspectrum",

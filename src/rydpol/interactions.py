@@ -24,7 +24,6 @@ import numpy as np
 
 #: Per-site level labels in enumeration order (m = 0, -1, 0, +1).
 LEVELS = ("s", "p-", "p0", "p+")
-LEVEL_M = (0, -1, 0, +1)
 
 _S, _PM, _P0, _PP = range(4)
 
@@ -68,7 +67,8 @@ _EXCHANGE_BRACKET = _HOP_PLUS_MINUS + _HOP_MINUS_PLUS + _ZZ_WEIGHT * _HOP_Z
 class SiteBasis:
     """Product basis of n_sites four-level sites, site-major enumeration.
 
-    Index 0 is the all-s state; within a site the level order is LEVELS.
+    Basis state k holds site i in level LEVELS[d_i], where d_i is the i-th
+    base-4 digit of k, most significant first; index 0 is the all-s state.
     """
 
     n_sites: int
@@ -80,30 +80,6 @@ class SiteBasis:
     @property
     def dim(self):
         return 4 ** self.n_sites
-
-    @property
-    def all_s_index(self):
-        return 0
-
-    def state_index(self, levels):
-        """Index of the product state with the given per-site level labels."""
-        if len(levels) != self.n_sites:
-            raise ValueError(f"expected {self.n_sites} level labels, got {len(levels)}")
-        index = 0
-        for label in levels:
-            if label not in LEVELS:
-                raise ValueError(f"unknown level {label!r}; expected one of {LEVELS}")
-            index = 4 * index + LEVELS.index(label)
-        return index
-
-    def total_m(self):
-        """Total magnetic quantum number of every basis state, as an array."""
-        m = np.zeros(self.dim)
-        codes = np.arange(self.dim)
-        for site in range(self.n_sites):
-            block = 4 ** (self.n_sites - 1 - site)
-            m += np.asarray(LEVEL_M)[(codes // block) % 4]
-        return m
 
 
 def _any(flags):
@@ -189,32 +165,25 @@ def _embed(op, sites, n_sites):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
-def build_drive_hamiltonian(basis, omega_mu):
-    """Resonant pi-polarized microwave drive: (Omega_mu/2) sum_i (|s><p0| + h.c.)_i.
+def build_hamiltonian(basis, positions, omega_mu, c3):
+    """Resonant microwave drive plus dipole-dipole exchange on the 4^n basis.
 
-    Single-site eigenvalues are {+-Omega_mu/2, 0, 0}; diagonal energies vanish
-    in the rotating frame at zero detuning.
+    The pi-polarized drive is (Omega_mu/2) sum_i (|s><p0| + h.c.)_i, with
+    single-site eigenvalues {+-Omega_mu/2, 0, 0}; diagonal energies vanish in
+    the rotating frame at zero detuning.  Every site pair (i, j) adds V_ij
+    times the isotropic sum of the excitation-conserving channel products
+    (sigma+/sigma-, sigma-/sigma+, and pi/pi), with V_ij = c3 * 1e3 / R_ij^3
+    in MHz (c3 signed, GHz um^3; R_ij um).  The pi channel hops a p0
+    excitation between sites with amplitude -2 V_ij and the sigma channels
+    hop p+ or p- with amplitude -V_ij, so a state with every site in s is
+    stationary until the drive creates p amplitude.
+
+    Omega_mu = 0 gives the exchange alone and c3 = 0 the drive alone.  A
+    drive entry changes one site's level and an exchange entry two, so no
+    entry gets both, and the matrix is exactly the sum of those two builds.
     """
     if not (math.isfinite(omega_mu) and omega_mu >= 0.0):
         raise ValueError(f"omega_mu must be finite and >= 0, got {omega_mu!r}")
-    matrix = np.zeros((basis.dim, basis.dim))
-    for site in range(basis.n_sites):
-        rows, cols, values = _embed(MU_Z, (site,), basis.n_sites)
-        matrix[rows, cols] += 0.5 * omega_mu * values
-    return SiteHamiltonian(matrix=matrix)
-
-
-def build_dd_hamiltonian(basis, positions, c3):
-    """Resonant dipole-dipole exchange between every pair of sites.
-
-    Every pair (i, j) contributes V_ij times the isotropic sum of the
-    excitation-conserving channel products (sigma+/sigma-, sigma-/sigma+, and
-    pi/pi), with V_ij = c3 * 1e3 / R_ij^3 in MHz (c3 signed, GHz um^3; R_ij
-    um).  The pi channel hops a p0 excitation between sites with amplitude
-    -2 V_ij and the sigma channels hop p+ or p- with amplitude -V_ij, so a
-    state with every site in s is stationary until the microwave drive
-    creates p amplitude.
-    """
     if not math.isfinite(c3):
         raise ValueError(f"c3 must be finite, got {c3!r}")
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -225,6 +194,9 @@ def build_dd_hamiltonian(basis, positions, c3):
         raise ValueError("positions must be finite")
 
     matrix = np.zeros((basis.dim, basis.dim))
+    for site in range(basis.n_sites):
+        rows, cols, values = _embed(MU_Z, (site,), basis.n_sites)
+        matrix[rows, cols] += 0.5 * omega_mu * values
     for i, j in itertools.combinations(range(basis.n_sites), 2):
         r_ij = float(np.linalg.norm(positions[i] - positions[j]))
         if r_ij <= 0.0:
@@ -233,13 +205,6 @@ def build_dd_hamiltonian(basis, positions, c3):
         rows, cols, values = _embed(_EXCHANGE_BRACKET, (i, j), basis.n_sites)
         matrix[rows, cols] += v_ij * values
     return SiteHamiltonian(matrix=matrix)
-
-
-def build_hamiltonian(basis, positions, omega_mu, c3):
-    """Drive plus dipole-dipole exchange in one call."""
-    drive = build_drive_hamiltonian(basis, omega_mu).matrix
-    exchange = build_dd_hamiltonian(basis, positions, c3).matrix
-    return SiteHamiltonian(matrix=drive + exchange)
 
 
 def _distances(diffs):
@@ -467,7 +432,12 @@ class EigenscanResult:
 
 
 def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
-    """Eigenvalue branches of the two-site Hamiltonian over R in [r_min, r_max] um."""
+    """Eigenvalue branches of the two-site Hamiltonian over R in [r_min, r_max] um.
+
+    At each of `steps` radii, build_hamiltonian assembles drive plus exchange
+    for two sites a distance R apart along z, and its spectrum is matched to
+    the previous radius's by eigenvector overlap.
+    """
     from scipy.optimize import linear_sum_assignment
 
     if not (isinstance(steps, int) and steps >= 2):
@@ -476,15 +446,14 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_min!r}, {r_max!r})")
     basis = SiteBasis(2)
     radii = np.linspace(r_min, r_max, steps)
-    drive = build_drive_hamiltonian(basis, omega_mu).matrix
 
     branches = np.empty((steps, basis.dim))
     tracked_vectors = None
     tracked_values = None
     for k, r in enumerate(radii):
         positions = [[0.0, 0.0, 0.0], [0.0, 0.0, float(r)]]
-        dd = build_dd_hamiltonian(basis, positions, c3).matrix
-        w, v = eigenspectrum(drive + dd, return_vectors=True)
+        w, v = eigenspectrum(build_hamiltonian(basis, positions, omega_mu, c3),
+                             return_vectors=True)
         if tracked_vectors is None:
             columns = np.arange(basis.dim)
         else:

@@ -31,7 +31,7 @@ from .interactions import (
     build_pi_sector_hamiltonian,
     time_evolve,
 )
-from .rng import _rekeyed_stream, philox_stream
+from .rng import _key, _rekeyed_stream, philox_stream
 
 #: Probability that an input photon produces a Rydberg excitation candidate
 #: during the write pulse.  Calibrated so the blockaded write at the default
@@ -281,6 +281,7 @@ def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threa
     if not (math.isfinite(omega_mu) and omega_mu >= 0):
         raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
     _check_pulse(config, pulse_duration)
+    _key(seed, _STAGE_DETECT, 0)  # the seed rule of every stream, checked before workers start
     counts = _map_blocks(
         partial(_shot_chunk, config, pair_coeffs, omega_mu, pulse_duration, seed),
         np.arange(trials), threads if trials >= 64 else 1)

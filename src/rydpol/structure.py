@@ -136,11 +136,6 @@ class GridSpec:
 class RadialWavefunction:
     """Reduced radial wavefunction u(r) = r R(r) on its integration grid."""
 
-    n: int
-    l: int
-    j: float
-    n_star: float
-    energy_ghz: float
     r: np.ndarray  # a0, ascending
     u: np.ndarray  # normalized so trapz(u^2, r) = 1
     nodes: int
@@ -222,10 +217,7 @@ def numerov_wavefunction(model, n, l, j, grid=GridSpec()):
     signs = np.sign(u[np.abs(u) > threshold])
     nodes = int(np.count_nonzero(np.diff(signs)))
 
-    return RadialWavefunction(
-        n=n, l=l, j=j, n_star=n_star,
-        energy_ghz=-model.rydberg_constant / n_star ** 2,
-        r=r, u=u, nodes=nodes)
+    return RadialWavefunction(r=r, u=u, nodes=nodes)
 
 
 def radial_expectation(wf, power=1):

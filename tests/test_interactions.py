@@ -36,8 +36,6 @@ from rydpol.interactions import (
     _embed,
     _pi_sector_drive,
     _pi_sector_tables,
-    build_dd_hamiltonian,
-    build_drive_hamiltonian,
     build_hamiltonian,
     build_pi_sector_hamiltonian,
     count_branch_crossings,
@@ -54,6 +52,26 @@ def ket_bra(a, b):
     op = np.zeros((4, 4))
     op[LEVELS.index(a), LEVELS.index(b)] = 1.0
     return op
+
+
+def state_index(labels):
+    """Site-major basis index of the product state with these per-site levels."""
+    index = 0
+    for label in labels:
+        index = 4 * index + LEVELS.index(label)
+    return index
+
+
+def total_m(n_sites):
+    """Total magnetic quantum number of every basis state, in enumeration order."""
+    level_m = {"s": 0, "p-": -1, "p0": 0, "p+": 1}
+    return np.array([sum(level_m[label] for label in labels)
+                     for labels in itertools.product(LEVELS, repeat=n_sites)])
+
+
+def line(n_sites, spacing=8.0):
+    """n_sites positions on the z axis, `spacing` um apart."""
+    return [[0.0, 0.0, spacing * k] for k in range(n_sites)]
 
 
 def kron_embed(ops):
@@ -108,35 +126,20 @@ def well_separated(positions, r_min=2.0):
 
 class TestSiteBasis:
     def test_dimension_and_ground_index(self):
+        # index 0 is the all-s state: the drive alone couples it to the n
+        # states with one site in p0, and to nothing else
         for n in (1, 2, 3, 4):
             basis = SiteBasis(n)
             assert basis.dim == 4 ** n
-            assert basis.all_s_index == 0
-            assert basis.state_index(("s",) * n) == 0
-
-    def test_state_index_round_trip(self):
-        basis = SiteBasis(3)
-        for idx, labels in enumerate(itertools.product(LEVELS, repeat=3)):
-            assert basis.state_index(labels) == idx
+            h = build_hamiltonian(basis, line(n), 10.0, 0.0).matrix
+            one_p0 = sorted(state_index(["s"] * site + ["p0"] + ["s"] * (n - 1 - site))
+                            for site in range(n))
+            assert np.flatnonzero(h[:, 0]).tolist() == one_p0
 
     def test_site_major_ordering(self):
-        basis = SiteBasis(2)
-        assert basis.state_index(("s", "p0")) == 2
-        assert basis.state_index(("p0", "s")) == 8
-
-    def test_total_m(self):
-        basis = SiteBasis(2)
-        m = basis.total_m()
-        assert m[basis.state_index(("p+", "p+"))] == 2
-        assert m[basis.state_index(("p-", "p+"))] == 0
-        assert m[basis.state_index(("s", "p-"))] == -1
-
-    def test_invalid_labels_rejected(self):
-        basis = SiteBasis(2)
-        with pytest.raises(ValueError):
-            basis.state_index(("s", "d"))
-        with pytest.raises(ValueError):
-            basis.state_index(("s",))
+        h = build_hamiltonian(SiteBasis(2), line(2), 10.0, 0.0).matrix
+        assert state_index(("s", "p0")) == 2 and state_index(("p0", "s")) == 8
+        assert np.flatnonzero(h[:, 0]).tolist() == [2, 8]
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_bad_site_count_rejected(self, bad):
@@ -209,35 +212,34 @@ class TestEmbed:
 
 class TestDriveHamiltonian:
     def test_single_site_eigenvalues(self):
-        h = build_drive_hamiltonian(SiteBasis(1), 25.0)
+        h = build_hamiltonian(SiteBasis(1), line(1), 25.0, 0.0)
         w = eigenspectrum(h)
         assert np.allclose(w, [-12.5, 0.0, 0.0, 12.5])
 
     def test_linearity_in_omega(self):
         basis = SiteBasis(2)
-        h1 = build_drive_hamiltonian(basis, 10.0)
-        h2 = build_drive_hamiltonian(basis, 30.0)
+        h1 = build_hamiltonian(basis, line(2), 10.0, 0.0)
+        h2 = build_hamiltonian(basis, line(2), 30.0, 0.0)
         assert np.allclose(h2.matrix, 3.0 * h1.matrix)
 
     def test_zero_drive_is_zero_matrix(self):
-        h = build_drive_hamiltonian(SiteBasis(2), 0.0)
+        h = build_hamiltonian(SiteBasis(2), line(2), 0.0, 0.0)
         assert np.count_nonzero(h.matrix) == 0
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_invalid_omega_rejected(self, bad):
-        with pytest.raises(ValueError):
-            build_drive_hamiltonian(SiteBasis(1), bad)
+        with pytest.raises(ValueError, match="omega_mu"):
+            build_hamiltonian(SiteBasis(1), line(1), bad, 0.0)
 
 
 class TestExchangeHamiltonian:
     def test_pair_exchange_block_is_closed_two_by_two(self):
         # One shared p0 excitation: the only couplings out of |s p0> and
         # |p0 s| are to each other, with amplitude -2V.
-        basis = SiteBasis(2)
-        h = build_dd_hamiltonian(basis, [[0, 0, 0], [0, 0, 8.0]], C3)
+        h = build_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 8.0]], 0.0, C3)
         v = C3 * 1e3 / 8.0 ** 3
-        i_sp = basis.state_index(("s", "p0"))
-        i_ps = basis.state_index(("p0", "s"))
+        i_sp = state_index(("s", "p0"))
+        i_ps = state_index(("p0", "s"))
         block = h.matrix[np.ix_([i_sp, i_ps], [i_sp, i_ps])]
         assert np.allclose(block, [[0.0, -2 * v], [-2 * v, 0.0]])
         for idx in (i_sp, i_ps):
@@ -246,7 +248,7 @@ class TestExchangeHamiltonian:
             assert np.count_nonzero(column) == 0
 
     def test_pair_spectrum_levels(self):
-        h = build_dd_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 8.0]], C3)
+        h = build_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 8.0]], 0.0, C3)
         w = eigenspectrum(h)
         v = abs(C3) * 1e3 / 8.0 ** 3
         expected = {-2 * v: 1, -v: 2, 0.0: 10, v: 2, 2 * v: 1}
@@ -254,47 +256,45 @@ class TestExchangeHamiltonian:
             assert np.sum(np.abs(w - level) < 1e-9) == count
 
     def test_all_s_state_is_stationary(self):
-        basis = SiteBasis(3)
         pos = [[0, 0, 0], [1, 2, 8], [0, -2, 15]]
-        h = build_dd_hamiltonian(basis, pos, C3)
-        assert np.count_nonzero(h.matrix[:, basis.all_s_index]) == 0
+        h = build_hamiltonian(SiteBasis(3), pos, 0.0, C3)
+        assert np.count_nonzero(h.matrix[:, 0]) == 0
 
     def test_matches_kron_oracle(self):
         pos = [[0.0, 0.0, 0.0], [2.0, -1.0, 7.6], [-3.0, 0.5, 16.0]]
-        h = build_dd_hamiltonian(SiteBasis(3), pos, C3)
+        h = build_hamiltonian(SiteBasis(3), pos, 0.0, C3)
         assert np.allclose(h.matrix, oracle_dd_matrix(pos, C3), atol=1e-12)
 
     def test_total_m_conserved(self):
-        basis = SiteBasis(3)
-        h = build_hamiltonian(basis, [[0, 0, 0], [1, 1, 8], [2, 0, 14]], 11.0, C3)
-        m = np.diag(basis.total_m().astype(float))
+        h = build_hamiltonian(SiteBasis(3), [[0, 0, 0], [1, 1, 8], [2, 0, 14]], 11.0, C3)
+        m = np.diag(total_m(3).astype(float))
         assert np.abs(h.matrix @ m - m @ h.matrix).max() == 0.0
 
     def test_inverse_cube_scaling(self):
         basis = SiteBasis(2)
         pos = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
-        h1 = build_dd_hamiltonian(basis, pos, C3)
-        h2 = build_dd_hamiltonian(basis, 2.0 * pos, C3)
+        h1 = build_hamiltonian(basis, pos, 0.0, C3)
+        h2 = build_hamiltonian(basis, 2.0 * pos, 0.0, C3)
         assert np.allclose(h2.matrix, h1.matrix / 8.0, atol=1e-15)
 
     def test_far_field_entries_negligible(self):
-        h = build_dd_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 1e4]], C3)
+        h = build_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 1e4]], 0.0, C3)
         assert np.abs(h.matrix).max() < 1e-8 * abs(C3) * 1e3
 
     def test_coincident_sites_rejected(self):
-        with pytest.raises(ValueError):
-            build_dd_hamiltonian(SiteBasis(2), [[1, 1, 1], [1, 1, 1]], C3)
+        with pytest.raises(ValueError, match="sites 0 and 1 are coincident"):
+            build_hamiltonian(SiteBasis(2), [[1, 1, 1], [1, 1, 1]], 0.0, C3)
 
     def test_wrong_position_shape_rejected(self):
-        with pytest.raises(ValueError):
-            build_dd_hamiltonian(SiteBasis(3), [[0, 0, 0], [0, 0, 8]], C3)
+        with pytest.raises(ValueError, match=r"positions must have shape \(3, 3\)"):
+            build_hamiltonian(SiteBasis(3), [[0, 0, 0], [0, 0, 8]], 0.0, C3)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_inputs_rejected(self, bad):
-        with pytest.raises(ValueError):
-            build_dd_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 8]], bad)
-        with pytest.raises(ValueError):
-            build_dd_hamiltonian(SiteBasis(2), [[0, 0, bad], [0, 0, 8]], C3)
+        with pytest.raises(ValueError, match="c3 must be finite"):
+            build_hamiltonian(SiteBasis(2), [[0, 0, 0], [0, 0, 8]], 0.0, bad)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            build_hamiltonian(SiteBasis(2), [[0, 0, bad], [0, 0, 8]], 0.0, C3)
 
     @given(positions=finite_positions, omega=st.one_of(st.just(0.0), st.floats(0, 300)),
            c3=st.one_of(st.just(0.0), st.floats(-200, 200)),
@@ -307,8 +307,8 @@ class TestExchangeHamiltonian:
         if well_separated(positions):
             basis = SiteBasis(len(positions))
             matrices += [build_hamiltonian(basis, positions, omega, c3).matrix,
-                         build_drive_hamiltonian(basis, omega).matrix,
-                         build_dd_hamiltonian(basis, positions, c3).matrix]
+                         build_hamiltonian(basis, positions, 0.0, c3).matrix,
+                         build_hamiltonian(basis, positions, omega, 0.0).matrix]
         for h in matrices:
             assert h.dtype == np.float64
             assert np.array_equal(h, h.T)
@@ -320,9 +320,23 @@ class TestExchangeHamiltonian:
         if not well_separated(positions):
             return
         basis = SiteBasis(len(positions))
-        h0 = build_dd_hamiltonian(basis, positions, C3)
-        h1 = build_dd_hamiltonian(basis, np.asarray(positions) + np.asarray(shift), C3)
+        h0 = build_hamiltonian(basis, positions, 0.0, C3)
+        h1 = build_hamiltonian(basis, np.asarray(positions) + np.asarray(shift), 0.0, C3)
         assert np.allclose(h0.matrix, h1.matrix, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_drive_and_exchange_builds_add_up(self, n):
+        # a drive entry changes one site's level and an exchange entry two,
+        # so the full build is exactly its Omega = 0 build plus its c3 = 0 build
+        rng = np.random.default_rng(80 + n)
+        pos = np.column_stack([rng.normal(0, 2.8, n), rng.normal(0, 2.8, n),
+                               np.arange(n) * 9.0])
+        basis = SiteBasis(n)
+        for omega, c3 in itertools.product((0.0, 3.7, 200.0), (0.0, C3, 14.3)):
+            exchange = build_hamiltonian(basis, pos, 0.0, c3).matrix
+            drive = build_hamiltonian(basis, pos, omega, 0.0).matrix
+            assert np.array_equal(build_hamiltonian(basis, pos, omega, c3).matrix,
+                                  drive + exchange)
 
     def test_site_relabeling_permutes_hamiltonian(self):
         basis = SiteBasis(3)
@@ -362,7 +376,7 @@ class TestEigenspectrum:
             eigenspectrum(np.eye(5000))
 
     def test_accepts_built_hamiltonians(self):
-        h = build_drive_hamiltonian(SiteBasis(2), 8.0)
+        h = build_hamiltonian(SiteBasis(2), line(2), 8.0, 0.0)
         w = eigenspectrum(h)
         assert w.shape == (16,)
         assert np.allclose(w, np.sort(np.linalg.eigvalsh(h.matrix)))
@@ -390,16 +404,14 @@ class TestEigenspectrum:
 
 class TestTimeEvolve:
     def test_pi_pulse_transfers_s_to_p0(self):
-        basis = SiteBasis(1)
-        h = build_drive_hamiltonian(basis, 12.5)
+        h = build_hamiltonian(SiteBasis(1), line(1), 12.5, 0.0)
         psi0 = np.zeros(4)
-        psi0[basis.all_s_index] = 1.0
+        psi0[0] = 1.0
         psi = time_evolve(h, psi0, 1.0 / (2 * 12.5))
-        assert abs(psi[basis.state_index(("p0",))]) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(psi[state_index(("p0",))]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_two_pi_pulse_returns_with_sign_flip(self):
-        basis = SiteBasis(1)
-        h = build_drive_hamiltonian(basis, 12.5)
+        h = build_hamiltonian(SiteBasis(1), line(1), 12.5, 0.0)
         psi0 = np.zeros(4)
         psi0[0] = 1.0
         psi = time_evolve(h, psi0, 1.0 / 12.5)
@@ -411,18 +423,18 @@ class TestTimeEvolve:
         psi0 = np.zeros(basis.dim)
         psi0[0] = 1.0
         psi = time_evolve(h3, psi0, 0.023)
-        h1 = build_drive_hamiltonian(SiteBasis(1), 17.0)
+        h1 = build_hamiltonian(SiteBasis(1), line(1), 17.0, 0.0)
         psi1 = time_evolve(h1, np.array([1.0, 0, 0, 0]), 0.023)
         product = np.kron(np.kron(psi1, psi1), psi1)
         assert np.abs(psi - product).max() < 1e-10
 
     def test_unnormalized_state_rejected(self):
-        h = build_drive_hamiltonian(SiteBasis(1), 10.0)
+        h = build_hamiltonian(SiteBasis(1), line(1), 10.0, 0.0)
         with pytest.raises(ValueError):
             time_evolve(h, np.array([1.0, 1.0, 0, 0]), 0.1)
 
     def test_array_time_rejected(self):
-        h = build_drive_hamiltonian(SiteBasis(1), 10.0)
+        h = build_hamiltonian(SiteBasis(1), line(1), 10.0, 0.0)
         with pytest.raises(ValueError, match="scalar"):
             time_evolve(h, np.array([1.0, 0, 0, 0]), np.linspace(0.0, 0.2, 7))
 
@@ -443,16 +455,14 @@ class TestTimeEvolve:
 
 class TestRetrievalOverlap:
     def test_all_s_state_gives_one(self):
-        basis = SiteBasis(3)
-        psi = np.zeros(basis.dim)
-        psi[basis.all_s_index] = 1.0
-        assert abs(psi[basis.all_s_index]) ** 2 == 1.0
+        psi = np.zeros(SiteBasis(3).dim)
+        psi[state_index(("s",) * 3)] = 1.0
+        assert abs(psi[0]) ** 2 == 1.0
 
     def test_orthogonal_state_gives_zero(self):
-        basis = SiteBasis(2)
-        psi = np.zeros(basis.dim)
-        psi[basis.state_index(("p0", "s"))] = 1.0
-        assert abs(psi[basis.all_s_index]) ** 2 == 0.0
+        psi = np.zeros(SiteBasis(2).dim)
+        psi[state_index(("p0", "s"))] = 1.0
+        assert abs(psi[0]) ** 2 == 0.0
 
     @given(theta=st.floats(0.0, 4 * math.pi), n=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -466,7 +476,7 @@ class TestRetrievalOverlap:
         psi0 = np.zeros(basis.dim)
         psi0[0] = 1.0
         psi = time_evolve(h, psi0, theta / (2 * math.pi * omega))
-        assert abs(psi[basis.all_s_index]) ** 2 == pytest.approx(
+        assert abs(psi[0]) ** 2 == pytest.approx(
             retrieval_probability(n, theta), abs=1e-10)
 
 
@@ -487,7 +497,7 @@ class TestStrongDrivePulse:
             omega = 50.0 * v_max
             h = build_hamiltonian(basis, pos, omega, C3)
             psi = time_evolve(h, psi0, 1.0 / omega)
-            assert abs(psi[basis.all_s_index]) ** 2 >= 0.95
+            assert abs(psi[0]) ** 2 >= 0.95
 
 
 class TestPiSectorReduction:
@@ -531,7 +541,7 @@ class TestPiSectorReduction:
         psi0_red[0] = 1.0
         reduced = time_evolve(build_pi_sector_hamiltonian(pos, omega, C3),
                               psi0_red, t)
-        assert abs(full[basis.all_s_index] - reduced[0]) < 1e-10
+        assert abs(full[0] - reduced[0]) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_drive_plus_exchange_split_is_exact(self, n):
@@ -875,7 +885,7 @@ class TestPairEigenscan:
 
     def test_far_limit_is_drive_only(self):
         scan = pair_eigenscan(omega_mu=30.0, c3=C3, r_min=60.0, r_max=90.0, steps=4)
-        drive = eigenspectrum(build_drive_hamiltonian(SiteBasis(2), 30.0))
+        drive = eigenspectrum(build_hamiltonian(SiteBasis(2), line(2), 30.0, 0.0))
         v_res = abs(C3) * 1e3 / 60.0 ** 3
         assert np.abs(np.sort(scan.branches[0]) - drive).max() < 4 * v_res
 
@@ -971,7 +981,7 @@ class TestDriveExchangeCompetition:
         for pos in samples:
             h = build_hamiltonian(basis, pos, omega, C3)
             psi = time_evolve(h, psi0, 1.0 / omega)
-            vals.append(abs(psi[basis.all_s_index]) ** 2)
+            vals.append(abs(psi[0]) ** 2)
         return float(np.mean(vals))
 
     def test_return_dips_at_resonance(self, ensemble):

@@ -282,20 +282,24 @@ class TestSimulateShot:
         with pytest.raises(ValueError, match="trials"):
             run_shots(CFG, RB60_PAIR, 10.0, 0.1, 0, 1)
 
-    @pytest.mark.parametrize("omega, pulse, message", [
-        (-5.0, 0.1, "omega_mu"), (math.nan, 0.1, "omega_mu"), (math.inf, 0.1, "omega_mu"),
-        (10.0, -0.01, "pulse_duration"), (10.0, CFG.storage_time + 0.1, "pulse_duration"),
-        (10.0, math.nan, "pulse_duration")])
+    @pytest.mark.parametrize("omega, pulse, seed, error, message", [
+        (-5.0, 0.1, 1, ValueError, "omega_mu"), (math.nan, 0.1, 1, ValueError, "omega_mu"),
+        (math.inf, 0.1, 1, ValueError, "omega_mu"),
+        (10.0, -0.01, 1, ValueError, "pulse_duration"),
+        (10.0, CFG.storage_time + 0.1, 1, ValueError, "pulse_duration"),
+        (10.0, math.nan, 1, ValueError, "pulse_duration"),
+        (10.0, 0.1, -1, ValueError, "master_seed"), (10.0, 0.1, 2 ** 64, ValueError, "master_seed"),
+        (10.0, 0.1, 1.5, TypeError, "master_seed"), (10.0, 0.1, "x", TypeError, "master_seed")])
     def test_run_shots_checks_inputs_before_starting_a_pool(self, monkeypatch, omega, pulse,
-                                                             message):
+                                                             seed, error, message):
         # No process is started: a pool that fails when it is built stands in.
         def refused(*args, **kwargs):
             raise AssertionError("run_shots started a worker pool")
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refused)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-        with pytest.raises(ValueError, match=message):
-            run_shots(CFG, RB60_PAIR, omega, pulse, 128, 1, threads=4)
+        with pytest.raises(error, match=message):
+            run_shots(CFG, RB60_PAIR, omega, pulse, 128, seed, threads=4)
 
 
 class TestShotStreams:

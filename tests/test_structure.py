@@ -167,10 +167,6 @@ class TestRubidiumWavefunctions:
         n_star_ratio = (rb.effective_n(60, 0, 0.5) / rb.effective_n(50, 0, 0.5)) ** 2
         assert big / small == pytest.approx(n_star_ratio, rel=0.05)
 
-    def test_energy_consistency(self, rb, pair):
-        ws, _ = pair
-        assert ws.energy_ghz == pytest.approx(binding_energy(rb, 60, 0, 0.5), rel=1e-12)
-
 
 class TestGridAndErrors:
     def test_r_max_must_clear_outer_turning_point(self, rb):
