@@ -403,6 +403,10 @@ def main(argv=None):
         parser.print_help(sys.stderr)
         return 2
     try:
+        # checked here, before any work, so the message names the flag
+        seed = getattr(args, "seed", 0)
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"--seed must be an integer in [0, 2**64), got {seed}")
         return args.func(args)
     except (ValueError, ConfigError, FitError, RuntimeError, OSError) as exc:
         print(f"rydpol: error: {exc}", file=sys.stderr)

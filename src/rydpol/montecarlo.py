@@ -308,8 +308,8 @@ def _detector_codes(detectors):
             raise ValueError("detectors must be 'A' or 'B'")
         labels = labels.astype(_LABEL_DTYPE)
     codes = labels.view(np.uint32)
-    # the empty label reads as code 0, which wraps past 1 here
-    if np.any(codes - np.uint32(_DETECTOR_A) > 1):
+    # the empty label reads as code 0
+    if codes.size and not (codes.min() >= _DETECTOR_A and codes.max() <= _DETECTOR_A + 1):
         raise ValueError("detectors must be 'A' or 'B'")
     return codes
 
@@ -364,54 +364,96 @@ def _pulse_index(times, period):
     return index
 
 
+#: Trials per block of generate_click_stream, and events per block of
+#: efficiency_drift_model and hbt_g2, so that no stage of the click pipeline
+#: holds a temporary as long as the run.
+_CLICK_BLOCK = 65_536
+
+
 def generate_click_stream(config, per_trial_photon_counts, seed):
     """Place detected photons and background on two detectors.
 
     Signal photons land on a Gaussian pulse (FWHM RETRIEVAL_PULSE_FWHM)
     centered in the retrieval window; background is a homogeneous Poisson
     process over the window; every event is routed 50/50 to detector A or B.
+
+    The record is built _CLICK_BLOCK trials at a time.  Each distribution
+    draws the same values in blocks as in one call over the run, and every
+    event of a trial lies inside the trial's period (0 <= start < end <
+    period), so sorting each block's [signal, background] stably equals
+    sorting the run's.
     """
     counts = np.asarray(per_trial_photon_counts)
     if counts.ndim != 1 or counts.size < 1:
         raise ValueError("per_trial_photon_counts must be a non-empty 1-d sequence")
     integral = counts.dtype.kind in "iub"
-    values = counts if integral else counts.astype(float)
-    if not (integral or np.all(np.isfinite(values))) or np.any(values < 0):
+    if not integral:
+        counts = counts.astype(float, copy=False)
+    # min and max propagate NaN, so the comparisons fail on it
+    if not (counts.min() >= 0 and counts.max() < math.inf):
         raise ValueError("photon counts must be finite and non-negative")
-    if not integral and np.any(np.floor(values) != values):
-        raise ValueError("photon counts must be whole numbers")
-    counts = counts.astype(np.int64, copy=False)
     n_trials = counts.size
+    blocks = [(lo, min(lo + _CLICK_BLOCK, n_trials)) for lo in range(0, n_trials, _CLICK_BLOCK)]
     rng = philox_stream(seed, _STAGE_CLICKS)
     start, end = config.retrieval_window
     center = 0.5 * (start + end)
     sigma = RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    pulse_starts = np.arange(n_trials, dtype=float)
-    pulse_starts *= config.repetition_period
+    period = config.repetition_period
 
     # each event's time is its pulse start plus its offset in the window
-    signal = rng.normal(center, sigma, size=int(counts.sum()))
-    outside = (signal < start) | (signal >= end)
-    while np.any(outside):
-        signal[outside] = rng.normal(center, sigma, size=int(outside.sum()))
-        outside = (signal < start) | (signal >= end)
-    del outside
-    signal += np.repeat(pulse_starts, counts)
+    signal = []
+    outside = []
+    for lo, hi in blocks:
+        block = counts[lo:hi]
+        if not integral and np.any(np.floor(block) != block):
+            raise ValueError("photon counts must be whole numbers")
+        offsets = rng.normal(center, sigma, size=int(block.sum()))
+        signal.append(offsets)
+        outside.append(np.flatnonzero((offsets < start) | (offsets >= end)))
+    # offsets outside the window are redrawn in run order, one draw per pass
+    while redraws := sum(where.size for where in outside):
+        redrawn = np.split(rng.normal(center, sigma, size=redraws),
+                           np.cumsum([where.size for where in outside[:-1]]))
+        for offsets, where, values in zip(signal, outside, redrawn):
+            offsets[where] = values
+        outside = [where[(values < start) | (values >= end)]
+                   for where, values in zip(outside, redrawn)]
 
-    background_counts = rng.poisson(config.background_rate * config.window_duration,
-                                    size=n_trials)
-    background = rng.uniform(start, end, size=int(background_counts.sum()))
-    background += np.repeat(pulse_starts, background_counts)
-    del pulse_starts, background_counts
+    # per block, the trials with background and their event counts
+    hits = []
+    for lo, hi in blocks:
+        drawn = rng.poisson(config.background_rate * config.window_duration, size=hi - lo)
+        hit = np.flatnonzero(drawn)
+        hits.append((hit + lo, drawn[hit]))
+    # block b's events are signal_at[b]:signal_at[b + 1] of the run's signal,
+    # and background_at[b]:background_at[b + 1] of its background
+    signal_at = np.cumsum([0] + [offsets.size for offsets in signal])
+    background_at = np.cumsum([0] + [int(n.sum()) for _, n in hits])
+    background = rng.uniform(start, end, size=background_at[-1])
 
-    times = np.concatenate([signal, background])
-    del signal, background
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    codes = rng.integers(0, 2, size=times.size).astype(np.uint32)
+    # detector codes in the order [signal, background], as the events are drawn;
+    # each block's sorted codes overwrite the codes of its own and later
+    # blocks, so blocks are placed from the last one back
+    codes = rng.integers(0, 2, size=signal_at[-1] + background.size, dtype=np.uint32)
     codes += _DETECTOR_A
-    return ClickRecord(times=times, detectors=codes[order].view(_LABEL_DTYPE),
-                       n_trials=int(n_trials), repetition_period=float(config.repetition_period))
+    background_codes = codes[signal_at[-1]:].copy()
+    times = np.empty(codes.size)
+    for b in reversed(range(len(blocks))):
+        lo, hi = blocks[b]
+        s0, s1 = signal_at[b], signal_at[b + 1]
+        e0, e1 = background_at[b], background_at[b + 1]
+        hit, n_hit = hits.pop()
+        block_times = np.concatenate([
+            signal.pop() + np.repeat(np.arange(lo, hi, dtype=float) * period,
+                                     counts[lo:hi].astype(np.int64, copy=False)),
+            background[e0:e1] + np.repeat(hit * period, n_hit)])
+        order = np.argsort(block_times, kind="stable")
+        placed = slice(s0 + e0, s1 + e1)
+        np.take(block_times, order, out=times[placed])
+        np.take(np.concatenate([codes[s0:s1], background_codes[e0:e1]]), order,
+                out=codes[placed])
+    return ClickRecord(times=times, detectors=codes.view(_LABEL_DTYPE),
+                       n_trials=int(n_trials), repetition_period=float(period))
 
 
 # --------------------------------------------------------------------------
@@ -461,28 +503,66 @@ def _cross_correlation(counts_a, counts_b, max_delay):
     a and b are zero-padded to rows of _CORRELATION_ROW pulses.  Summed over
     rows r, the product A[r]^T B[r + d] of the row offset d holds at entry
     (p, q) the pairs at delay k = d * row + q - p, so C_k adds up diagonals
-    of the ceil(max_delay / row) offsets on each side.  The counts are
-    integers and every partial sum stays below 2^53, so the sums are exact
-    in any order; extra memory is one row x row product per offset.
+    of the ceil(max_delay / row) offsets on each side.  Rows are taken a
+    block at a time, each with the rows of B that its offsets reach.  The
+    counts are integers and every partial sum stays below 2^53, so the sums
+    are exact in any order; extra memory is one block of rows and one
+    row x row product.
     """
     row = _CORRELATION_ROW
     a = counts_a.reshape(-1, row)
     b = counts_b.reshape(-1, row)
     rows = a.shape[0]
     reach = -(-max_delay // row)
+    block = max(1, _CLICK_BLOCK // row)
     # diagonal q - p of each entry, shifted to [0, 2 * row - 2]
     diagonal = (np.arange(row) - np.arange(row)[:, None] + row - 1).ravel()
     span = reach * row + row - 1      # the largest |k| any offset reaches
     sums = np.zeros(2 * span + 1)
-    for d in range(-reach, reach + 1):
-        if d >= 0:
-            product = a[:rows - d].T @ b[d:]
-        else:
-            product = a[-d:].T @ b[:rows + d]
-        first = span + d * row - (row - 1)
-        sums[first:first + 2 * row - 1] += np.bincount(
-            diagonal, weights=product.ravel(), minlength=2 * row - 1)
+    for r0 in range(0, rows, block):
+        a_rows = a[r0:r0 + block].astype(float)
+        # rows r0 - reach .. r0 + block + reach of B, zero outside the run
+        b_rows = np.zeros((a_rows.shape[0] + 2 * reach, row))
+        first = max(r0 - reach, 0)
+        b_part = b[first:r0 + block + reach]
+        b_rows[first - (r0 - reach):][:b_part.shape[0]] = b_part
+        for d in range(-reach, reach + 1):
+            product = a_rows.T @ b_rows[reach + d:reach + d + a_rows.shape[0]]
+            lowest = span + d * row - (row - 1)
+            sums[lowest:lowest + 2 * row - 1] += np.bincount(
+                diagonal, weights=product.ravel(), minlength=2 * row - 1)
     return sums[span - max_delay:span + max_delay + 1]
+
+
+def _pulse_counts(clicks, columns):
+    """Clicks per pulse of detector A (row 0) and B (row 1), uint32, shape (2, columns).
+
+    columns >= n_trials; events at or past n_trials periods are dropped.
+    Events are taken _CLICK_BLOCK at a time, with one bincount over the
+    pulses a block spans; a block spans at most 4 * _CLICK_BLOCK pulses, so
+    a sparse record needs no bincount as long as the run.
+    """
+    n_trials = clicks.n_trials
+    times = clicks.times
+    codes = _detector_codes(clicks.detectors)
+    counts = np.zeros((2, columns), dtype=np.uint32)
+    lo = 0
+    while lo < times.size:
+        # pulse indices never decrease along the sorted times
+        keys = _pulse_index(times[lo:lo + _CLICK_BLOCK], clicks.repetition_period)
+        keys = keys.astype(np.int64)
+        first = int(keys[0])
+        if first >= n_trials:
+            break
+        keys = keys[:np.searchsorted(keys, min(first + 4 * _CLICK_BLOCK, n_trials))]
+        width = int(keys[-1]) - first + 1
+        keys -= first
+        keys += width * (codes[lo:lo + keys.size] != _DETECTOR_A)
+        window = counts[:, first:first + width]
+        np.add(window, np.bincount(keys, minlength=2 * width).reshape(2, width),
+               out=window, casting="unsafe")
+        lo += keys.size
+    return counts
 
 
 def hbt_g2(clicks, max_delay=60):
@@ -501,19 +581,9 @@ def hbt_g2(clicks, max_delay=60):
     _check_delays(max_delay, n_trials)
     k_lo, k_hi = _NORM_RANGE
     max_delay = int(max_delay)
-    # per-pulse counts of detector A in row 0 and of B in row 1, zero-padded
-    # to whole correlation rows; pulses past the run are clamped to n_trials
-    # and zeroed with the padding
+    # zero-padded to whole correlation rows
     padded = -(-n_trials // _CORRELATION_ROW) * _CORRELATION_ROW
-    keys = _pulse_index(clicks.times, clicks.repetition_period).astype(np.int64)
-    np.minimum(keys, n_trials, out=keys)
-    np.add(keys, padded + 1, out=keys,
-           where=_detector_codes(clicks.detectors) != _DETECTOR_A)
-    counts = np.zeros((2, padded + 1))
-    np.add.at(counts.reshape(-1), keys, 1.0)
-    del keys
-    counts[:, n_trials:] = 0.0
-    counts_a, counts_b = counts[:, :padded]
+    counts_a, counts_b = _pulse_counts(clicks, padded)
 
     ks = np.arange(-max_delay, max_delay + 1)
     coincidences = _cross_correlation(counts_a, counts_b, max_delay)
@@ -602,14 +672,29 @@ class DriftSpec:
 
 
 def efficiency_drift_model(clicks, drift_spec):
-    """Thin a click record by a slowly varying per-trial efficiency."""
-    keep_probability = drift_spec.modulation(
-        _pulse_index(clicks.times, clicks.repetition_period))
+    """Thin a click record by a slowly varying per-trial efficiency.
+
+    The keep decisions are drawn, and the kept events gathered, _CLICK_BLOCK
+    events at a time; the decisions are the values of one draw over the record.
+    """
+    times = clicks.times
+    detectors = clicks.detectors
     rng = philox_stream(drift_spec.rng_seed, _STAGE_DRIFT)
-    kept = np.flatnonzero(rng.random(clicks.times.size) < keep_probability)
-    del keep_probability
-    return replace(clicks, times=clicks.times.take(kept),
-                   detectors=clicks.detectors.take(kept))
+    keep = np.empty(times.size, dtype=bool)
+    blocks = range(0, times.size, _CLICK_BLOCK)
+    for lo in blocks:
+        block = times[lo:lo + _CLICK_BLOCK]
+        probability = drift_spec.modulation(_pulse_index(block, clicks.repetition_period))
+        np.less(rng.random(block.size), probability, out=keep[lo:lo + _CLICK_BLOCK])
+    kept_times = np.empty(np.count_nonzero(keep))
+    kept_detectors = np.empty(kept_times.size, dtype=detectors.dtype)
+    at = 0
+    for lo in blocks:
+        kept = np.flatnonzero(keep[lo:lo + _CLICK_BLOCK]) + lo
+        np.take(times, kept, out=kept_times[at:at + kept.size])
+        np.take(detectors, kept, out=kept_detectors[at:at + kept.size])
+        at += kept.size
+    return replace(clicks, times=kept_times, detectors=kept_detectors)
 
 
 # --------------------------------------------------------------------------

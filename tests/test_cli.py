@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rydpol.cli as cli
 from rydpol.cli import _csv_text, _json_text, main
 from rydpol.config import ExperimentConfig
 from rydpol.fitting import lorentzian
@@ -118,6 +119,23 @@ class TestExitCodes:
                        "--output-dir", tmp_path)
         assert code == 1
         assert capsys.readouterr().err.startswith("rydpol: error: --trials must be >= 2")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("command", [("protocol", "--trials", 10, "--threads", 1),
+                                         ("rabi-scan", "--points", 2, "--threads", 1),
+                                         ("g2", "--trials", 1000)])
+    def test_seed_out_of_range_names_the_flag(self, tmp_path, capsys, monkeypatch,
+                                              command, seed):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before checking --seed")
+
+        for name in ("run_shots", "simulate_rabi_scan", "simulate_hbt_run"):
+            monkeypatch.setattr(cli, name, no_work)
+        code = run_cli(*command, "--seed", seed, "--output-dir", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"rydpol: error: --seed must be an integer in [0, 2**64), got {seed}\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -604,6 +604,204 @@ class TestHbtG2:
                      g2_zero_err=0.0, side_peak_level=1.0)
 
 
+# --------------------------------------------------------------------------
+# The click pipeline in blocks against whole-run oracles
+
+def whole_run_click_stream(config, counts, seed):
+    """generate_click_stream drawing and sorting the whole run at once."""
+    counts = np.asarray(counts).astype(np.int64)
+    n_trials = counts.size
+    rng = philox_stream(seed, montecarlo._STAGE_CLICKS)
+    start, end = config.retrieval_window
+    center = 0.5 * (start + end)
+    sigma = montecarlo.RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    pulse_starts = np.arange(n_trials, dtype=float)
+    pulse_starts *= config.repetition_period
+    signal = rng.normal(center, sigma, size=int(counts.sum()))
+    outside = (signal < start) | (signal >= end)
+    while np.any(outside):
+        signal[outside] = rng.normal(center, sigma, size=int(outside.sum()))
+        outside = (signal < start) | (signal >= end)
+    signal += np.repeat(pulse_starts, counts)
+    background_counts = rng.poisson(config.background_rate * config.window_duration,
+                                    size=n_trials)
+    background = rng.uniform(start, end, size=int(background_counts.sum()))
+    background += np.repeat(pulse_starts, background_counts)
+    times = np.concatenate([signal, background])
+    order = np.argsort(times, kind="stable")
+    codes = rng.integers(0, 2, size=times.size).astype(np.uint32)
+    codes += ord("A")
+    return ClickRecord(times=times[order], detectors=codes[order].view("<U1"),
+                       n_trials=n_trials, repetition_period=config.repetition_period)
+
+
+def whole_run_drift(clicks, drift_spec):
+    """efficiency_drift_model deciding every event in one draw."""
+    keep_probability = drift_spec.modulation(
+        np.floor_divide(clicks.times, clicks.repetition_period))
+    rng = philox_stream(drift_spec.rng_seed, montecarlo._STAGE_DRIFT)
+    kept = np.flatnonzero(rng.random(clicks.times.size) < keep_probability)
+    return replace(clicks, times=clicks.times.take(kept),
+                   detectors=clicks.detectors.take(kept))
+
+
+def whole_run_g2(clicks, max_delay):
+    """hbt_g2 on float per-pulse counts of the whole run, one product per row offset."""
+    n_trials = clicks.n_trials
+    row = 64
+    padded = -(-n_trials // row) * row
+    keys = np.floor_divide(clicks.times, clicks.repetition_period).astype(np.int64)
+    np.minimum(keys, n_trials, out=keys)
+    keys[clicks.detectors == "B"] += padded + 1
+    counts = np.zeros((2, padded + 1))
+    np.add.at(counts.reshape(-1), keys, 1.0)
+    counts[:, n_trials:] = 0.0
+    counts_a, counts_b = counts[:, :padded]
+    a = counts_a.reshape(-1, row)
+    b = counts_b.reshape(-1, row)
+    rows = a.shape[0]
+    reach = -(-max_delay // row)
+    diagonal = (np.arange(row) - np.arange(row)[:, None] + row - 1).ravel()
+    span = reach * row + row - 1
+    sums = np.zeros(2 * span + 1)
+    for d in range(-reach, reach + 1):
+        product = a[:rows - d].T @ b[d:] if d >= 0 else a[-d:].T @ b[:rows + d]
+        first = span + d * row - (row - 1)
+        sums[first:first + 2 * row - 1] += np.bincount(
+            diagonal, weights=product.ravel(), minlength=2 * row - 1)
+    coincidences = sums[span - max_delay:span + max_delay + 1]
+
+    ks = np.arange(-max_delay, max_delay + 1)
+    pairs = (n_trials - np.abs(ks)).astype(float)
+    rate = coincidences / pairs
+    in_norm = (np.abs(ks) >= 5) & (np.abs(ks) <= 50)
+    norm = float(np.mean(rate[in_norm]))
+    norm_err = float(np.sqrt(np.sum(coincidences[in_norm])) / np.sum(pairs[in_norm]))
+    g2 = rate / norm
+    relative_norm = norm_err / norm
+    inverse = np.divide(1.0, coincidences, out=np.zeros_like(coincidences),
+                        where=coincidences > 0)
+    g2_err = np.where(coincidences > 0, g2 * np.sqrt(inverse + relative_norm ** 2), 0.0)
+    uncorrelated = float(np.mean(counts_a[:n_trials]) * np.mean(counts_b[:n_trials]))
+    return G2Result(tau_bins=ks * clicks.repetition_period, g2=g2, statistical_error=g2_err,
+                    coincidence_counts=coincidences.astype(np.int64),
+                    g2_zero=float(g2[max_delay]), g2_zero_err=float(g2_err[max_delay]),
+                    side_peak_level=norm / uncorrelated if uncorrelated > 0 else math.inf)
+
+
+def record_bytes(clicks):
+    return (clicks.times.tobytes(), clicks.detectors.tobytes(), clicks.detectors.dtype,
+            clicks.n_trials, clicks.repetition_period)
+
+
+def g2_bytes(result):
+    return [np.asarray(getattr(result, name)).tobytes() for name in (
+        "tau_bins", "g2", "statistical_error", "coincidence_counts", "g2_zero",
+        "g2_zero_err", "side_peak_level")]
+
+
+def check_pipeline_against_whole_run(config, counts, seed, max_delays=(60,)):
+    """Clicks, drifted clicks and their g2 equal the whole-run oracles byte for byte."""
+    clicks = generate_click_stream(config, counts, seed)
+    assert record_bytes(clicks) == record_bytes(whole_run_click_stream(config, counts, seed))
+    drifted = efficiency_drift_model(clicks, DriftSpec(amplitude=0.5, rng_seed=seed))
+    assert record_bytes(drifted) == record_bytes(
+        whole_run_drift(clicks, DriftSpec(amplitude=0.5, rng_seed=seed)))
+    for record in (clicks, drifted):
+        for max_delay in max_delays:
+            if max_delay < record.n_trials and record.times.size >= 2:
+                assert g2_bytes(hbt_g2(record, max_delay)) == g2_bytes(
+                    whole_run_g2(record, max_delay))
+    return clicks
+
+
+#: Runs from a single trial to several blocks, with blocks cut one short of,
+#: and one past, a whole block.
+BLOCKED_TRIALS = [1, 2, 65_535, 65_537, 200_003]
+
+
+class TestBlockedClickPipeline:
+    @pytest.mark.parametrize("trials", BLOCKED_TRIALS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, float])
+    def test_matches_whole_run(self, trials, dtype):
+        counts = emitter_photon_counts(3, 0.35, trials, trials).astype(dtype)
+        busy = replace(CFG, background_rate=0.2)
+        clicks = check_pipeline_against_whole_run(busy, counts, 7, max_delays=(60, 5000))
+        assert clicks.times.size > counts.sum() or trials < 10
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("trials", [1, 2, 63, 64, 65, 1000, 3001])
+    def test_block_size_does_not_change_the_output(self, monkeypatch, block, trials):
+        counts = emitter_photon_counts(3, 0.35, trials, trials)
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        clicks = check_pipeline_against_whole_run(replace(CFG, background_rate=0.2), counts, 11)
+        if trials > 100:
+            # the last 37 pulses hold events past the run, which both drop
+            shortened = replace(clicks, n_trials=trials - 37)
+            assert g2_bytes(hbt_g2(shortened)) == g2_bytes(whole_run_g2(shortened, 60))
+
+    @pytest.mark.parametrize("block", [3, 64, 65_536])
+    def test_background_only_record(self, monkeypatch, block):
+        # about one event in ten pulses, so hbt_g2 caps blocks by the pulses they span
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        clicks = check_pipeline_against_whole_run(
+            replace(CFG, background_rate=0.2), np.zeros(30_011, dtype=np.int64), 5)
+        assert 2500 < clicks.times.size < 3500
+
+    @pytest.mark.parametrize("block", [3, 64, 65_536])
+    def test_redraws_out_of_window_offsets_in_run_order(self, monkeypatch, block):
+        # a window of +-1 pulse sigma sends about 1 first offset in 3 back for
+        # a redraw, and a third of those again
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        narrow = replace(CFG, retrieval_window=(1.2, 1.3))
+        counts = emitter_photon_counts(3, 0.35, 5003, 3)
+        sigma = montecarlo.RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        first = philox_stream(3, montecarlo._STAGE_CLICKS).normal(1.25, sigma, counts.sum())
+        assert np.mean(np.abs(first - 1.25) > 0.05) > 0.25
+        clicks = check_pipeline_against_whole_run(narrow, counts, 3)
+        offsets = np.mod(clicks.times, CFG.repetition_period)
+        assert offsets.min() >= 1.2 and offsets.max() < 1.3
+
+
+#: Trials of the memory-bound runs, read _CLICK_BLOCK = 1024 events or trials at a time.
+MEMORY_TRIALS = 200_000
+
+
+def traced_peak(func, *args):
+    """(result, bytes by which tracemalloc's peak during func(*args) exceeds its start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+class TestClickPipelineMemory:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", 1024)
+
+    def test_click_stream_holds_its_output_and_little_more(self):
+        counts = emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4)
+        clicks, peak = traced_peak(generate_click_stream, CFG, counts, 4)
+        assert peak <= 25 * clicks.times.size + 2 ** 20
+
+    def test_drift_holds_about_one_byte_per_event(self):
+        clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4), 4)
+        drifted, peak = traced_peak(efficiency_drift_model, clicks, DriftSpec(amplitude=0.4))
+        output = drifted.times.nbytes + drifted.detectors.nbytes
+        assert peak - output <= 2 * clicks.times.size + 2 ** 20
+
+    def test_g2_holds_eight_bytes_per_trial(self):
+        clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4), 4)
+        result, peak = traced_peak(hbt_g2, clicks)
+        assert result.g2.size == 121
+        assert peak <= 12 * MEMORY_TRIALS + 2 ** 20
+
+
 class TestBackgroundCorrection:
     def test_published_operating_point(self):
         # (0.68 - (1 - 0.918^2)) / 0.918^2 = 0.620279...
