@@ -288,8 +288,9 @@ def _add_common(sub, seeded=False, threaded=False):
     if seeded:
         sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
     if threaded:
-        sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                         help="worker processes (default: all cores)")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker processes (default 1); more pay off only "
+                              "with OPENBLAS_NUM_THREADS=1")
 
 
 def build_parser():

@@ -35,11 +35,13 @@ def wigner_d(j, m_prime, m, theta):
 
     Evaluated as the closed-form terminating series with the tangent power
     folded into the trigonometric prefactor, which stays finite at theta = pi
-    where the bare 2F1 argument -tan^2(theta/2) diverges.
+    where the bare 2F1 argument -tan^2(theta/2) diverges. theta must be finite.
     """
     tj = _twice(j, "j")
     tmp = _twice(m_prime, "m_prime")
     tm = _twice(m, "m")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if tj < 0:
         raise ValueError(f"j must be non-negative, got {j!r}")
     for label, tval in (("m_prime", tmp), ("m", tm)):

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Per-site level labels in enumeration order (m = 0, -1, 0, +1).
-LEVELS = ("s", "p-", "p0", "p+")
-
+# Per-site levels s, p-, p0, p+ in enumeration order (m = 0, -1, 0, +1).
 _S, _PM, _P0, _PP = range(4)
 
 #: Dense-solver dimension cap.
@@ -67,8 +65,9 @@ _EXCHANGE_BRACKET = _HOP_PLUS_MINUS + _HOP_MINUS_PLUS + _ZZ_WEIGHT * _HOP_Z
 class SiteBasis:
     """Product basis of n_sites four-level sites, site-major enumeration.
 
-    Basis state k holds site i in level LEVELS[d_i], where d_i is the i-th
-    base-4 digit of k, most significant first; index 0 is the all-s state.
+    Basis state k holds site i in level d_i of (s, p-, p0, p+), where d_i is
+    the i-th base-4 digit of k, most significant first; index 0 is the all-s
+    state.
     """
 
     n_sites: int

@@ -83,10 +83,6 @@ class CloudSample:
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", positions)
 
-    @property
-    def count(self):
-        return self.positions.shape[0]
-
 
 def sample_positions(config, count, seed, index=0):
     """Draw i.i.d. positions from the anisotropic Gaussian cloud (w_r, w_r, w_z)."""
@@ -668,7 +664,7 @@ class DriftSpec:
         series *= self.amplitude
         series += 1.0
         series /= 1.0 + self.amplitude
-        return series[()]   # a scalar for a scalar index
+        return series
 
 
 def efficiency_drift_model(clicks, drift_spec):

@@ -114,22 +114,12 @@ def transition_frequency(model, upper, lower):
     return binding_energy(model, *upper) - binding_energy(model, *lower)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Radial grid controls for the Numerov integration (radii in a0)."""
-
-    points_per_wavelength: float = 40.0  # local de Broglie sampling density
-    min_points: int = 2000
-    inner_cutoff_factor: float = 0.05    # r_min = factor * n^2 unless overridden
-    r_min: float | None = None
-    r_max: float | None = None
-
-    def __post_init__(self):
-        if self.points_per_wavelength < 10.0:
-            raise ValueError("points_per_wavelength must be >= 10 "
-                             f"(got {self.points_per_wavelength!r})")
-        if self.min_points < 100:
-            raise ValueError(f"min_points must be >= 100, got {self.min_points!r}")
+#: Numerov grid: local de Broglie sampling density, the smallest point count,
+#: and the inner cutoff r_min = factor * n^2 a0. The grid ends at
+#: r_max = 2.5 n (n + 15) a0.
+_POINTS_PER_WAVELENGTH = 40.0
+_MIN_POINTS = 2000
+_INNER_CUTOFF_FACTOR = 0.05
 
 
 @dataclass
@@ -141,27 +131,25 @@ class RadialWavefunction:
     nodes: int
 
 
-def numerov_wavefunction(model, n, l, j, grid=GridSpec()):
+def numerov_wavefunction(model, n, l, j):
     """Integrate the radial equation inward at the quantum-defect energy.
 
     The equation is solved for chi(x) = u(e^x)/sqrt(e^x) on a uniform grid in
     x = ln r:  chi'' = W chi with W = (l+1/2)^2 - 2 r + r^2 / n*^2.
     Integration starts outside the outer classical turning point 2 n*^2 and
-    runs inward; the default inner cutoff 0.05 n^2 a0 stays outside the region
+    runs inward; the inner cutoff 0.05 n^2 a0 stays outside the region
     where the inward solution would pick up the diverging irregular component.
     """
     n_star = model.effective_n(n, l, j)
     energy_au = -1.0 / (2.0 * n_star ** 2)
 
-    r_min = grid.r_min if grid.r_min is not None else grid.inner_cutoff_factor * n * n
-    r_max = grid.r_max if grid.r_max is not None else 2.5 * n * (n + 15.0)
+    r_min = _INNER_CUTOFF_FACTOR * n * n
+    r_max = 2.5 * n * (n + 15.0)
     outer_turning = 2.0 * n_star ** 2
     if r_max <= outer_turning:
         raise ValueError(
             f"r_max={r_max:.1f} a0 must lie beyond the outer classical turning point "
             f"{outer_turning:.1f} a0 for (n={n}, l={l})")
-    if not 0.0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got ({r_min!r}, {r_max!r})")
 
     x_lo, x_hi = math.log(r_min), math.log(r_max)
 
@@ -172,8 +160,8 @@ def numerov_wavefunction(model, n, l, j, grid=GridSpec()):
     # step chosen from the fastest oscillation in the classically allowed region
     probe = w_of_x(np.linspace(x_lo, x_hi, 512))
     k_max = math.sqrt(max(np.max(-probe), 1e-12))
-    h_target = 2.0 * math.pi / (grid.points_per_wavelength * k_max)
-    n_points = max(grid.min_points, int(math.ceil((x_hi - x_lo) / h_target)) + 1)
+    h_target = 2.0 * math.pi / (_POINTS_PER_WAVELENGTH * k_max)
+    n_points = max(_MIN_POINTS, int(math.ceil((x_hi - x_lo) / h_target)) + 1)
     x = np.linspace(x_lo, x_hi, n_points)
     h = x[1] - x[0]
     w = w_of_x(x)
@@ -220,13 +208,8 @@ def numerov_wavefunction(model, n, l, j, grid=GridSpec()):
     return RadialWavefunction(r=r, u=u, nodes=nodes)
 
 
-def radial_expectation(wf, power=1):
-    """<u| r^power |u> on the stored grid."""
-    return float(_trapz(wf.u * wf.r ** power * wf.u, wf.r))
-
-
-def radial_matrix_element(wf_a, wf_b, power=1):
-    """<u_a| r^power |u_b> in a0^power, via overlap of the two stored grids.
+def radial_matrix_element(wf_a, wf_b):
+    """<u_a| r |u_b> in a0, via overlap of the two stored grids.
 
     The integrand is evaluated on the union of both grids restricted to the
     overlap interval, with each u linearly interpolated. Disjoint grids are an
@@ -240,7 +223,7 @@ def radial_matrix_element(wf_a, wf_b, power=1):
     r = r[(r >= lo) & (r <= hi)]
     ua = np.interp(r, wf_a.r, wf_a.u)
     ub = np.interp(r, wf_b.r, wf_b.u)
-    return float(_trapz(ua * r ** power * ub, r))
+    return float(_trapz(ua * r * ub, r))
 
 
 #: Angular factor of the reference ns_{1/2} -> (n-1)p_{3/2} sigma+ transition.

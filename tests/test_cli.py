@@ -162,6 +162,14 @@ class TestExitCodes:
         assert run_cli("radius", "--output-dir", tmp_path) == 0
 
 
+class TestParser:
+    @pytest.mark.parametrize("subcommand", ["protocol", "rabi-scan"])
+    def test_threads_default_to_one(self, subcommand):
+        # workers each run their own BLAS threads, so more than one worker
+        # is slower than serial unless BLAS is pinned to one thread
+        assert cli.build_parser().parse_args([subcommand]).threads == 1
+
+
 class TestRadius:
     def test_optical_radius_matches_formula(self, tmp_path):
         assert run_cli("radius", "--c6", 140.0, "--eit-width", 1.0,

@@ -173,5 +173,10 @@ class TestRetrievalLaw:
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf,
                                        np.array([0.0, math.nan, 1.0])])
     def test_non_finite_theta_rejected(self, theta):
-        with pytest.raises(ValueError, match="theta must be finite, got (nan|inf|-inf)$"):
-            retrieval_probability(3, theta)
+        calls = [lambda: retrieval_probability(3, theta)]
+        if np.ndim(theta) == 0:  # the Wigner d functions take a scalar angle
+            calls += [lambda: wigner_d(0.5, 0.5, 0.5, theta),
+                      lambda: wigner_d_matrix(1.5, theta)]
+        for call in calls:
+            with pytest.raises(ValueError, match="theta must be finite, got (nan|inf|-inf)$"):
+                call()

@@ -24,7 +24,6 @@ from scipy.linalg import expm
 import rydpol.interactions as interactions
 from rydpol.collective import retrieval_probability
 from rydpol.interactions import (
-    LEVELS,
     MU_Z,
     SiteBasis,
     _EXCHANGE_BRACKET,
@@ -46,6 +45,9 @@ from rydpol.interactions import (
 
 C3 = -14.3
 R_O = 7.2058962675
+
+# Per-site levels in the basis's enumeration order.
+LEVELS = ("s", "p-", "p0", "p+")
 
 
 def ket_bra(a, b):

@@ -130,7 +130,7 @@ class TestCloudSampling:
 
     def test_single_candidate(self):
         cloud = sample_positions(CFG, 1, 2)
-        assert cloud.count == 1
+        assert len(cloud.positions) == 1
         assert cloud.positions.shape == (1, 3)
 
     @pytest.mark.parametrize("count", [0, -1, 2.5])

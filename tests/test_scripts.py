@@ -34,19 +34,42 @@ def test_help_names_output_dir(name, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_quickest_study_writes_into_output_dir(tmp_path):
+def run_into_output_dir(name, tmp_path):
+    """Run a study from an empty working directory with a nested --output-dir,
+    check that only its CSV landed there, and return that CSV's path."""
     cwd, out = tmp_path / "cwd", tmp_path / "out" / "nested"
     cwd.mkdir()
-    done = run_script("blockade_regimes.py", "--output-dir", out, cwd=cwd)
+    done = run_script(name, "--output-dir", out, cwd=cwd)
     assert done.returncode == 0, done.stderr
     assert not any(cwd.iterdir())
-    path = out / "regimes.csv"
+    assert [p.name for p in out.iterdir()] == [STUDIES[name]]
+    path = out / STUDIES[name]
     assert f"wrote {path}" in done.stdout
+    return path
+
+
+def test_quickest_study_writes_into_output_dir(tmp_path):
+    path = run_into_output_dir("blockade_regimes.py", tmp_path)
     with open(path, encoding="utf-8") as fh:
         assert fh.readline().strip() == "omega_mu_mhz,r_mu_um,r_o_um"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (200, 3)
     assert np.all(np.diff(data[:, 1]) < 0)  # r_mu shrinks as the drive grows
+
+
+@pytest.mark.parametrize("name,header,rows", [
+    # 40 drives
+    ("collective_fit_demo.py", "omega_mu_mhz,retrieved_fraction,err", 40),
+    # 4 emitter numbers, then 5 drift amplitudes
+    ("hbt_statistics.py", "n_emitters,drift_rel_std,g2_zero,g2_zero_err,side_peak_level", 9),
+])
+def test_study_writes_only_its_csv_into_output_dir(name, header, rows, tmp_path):
+    path = run_into_output_dir(name, tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline().strip() == header
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert data.shape == (rows, header.count(",") + 1)
+    assert np.all(np.isfinite(data))
 
 
 def test_exchange_crossover_study_writes_one_row_per_ratio(tmp_path):

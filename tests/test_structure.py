@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
+import rydpol.structure as structure
 from rydpol.structure import (
-    GridSpec,
     IntegrationError,
     QuantumDefectModel,
     RB87_DEFECTS,
@@ -22,15 +22,33 @@ from rydpol.structure import (
     binding_energy,
     hydrogen_model,
     numerov_wavefunction,
-    radial_expectation,
     radial_matrix_element,
     transition_frequency,
 )
 
-FULL_SUPPORT = GridSpec(r_min=1e-3, min_points=4000)
-
 # np.trapezoid exists from numpy 2.0 on; older releases only have np.trapz.
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def radial_expectation(wf, power=1):
+    """<u| r^power |u> on the stored grid."""
+    return float(trapezoid(wf.u * wf.r ** power * wf.u, wf.r))
+
+
+def overlap(wf_a, wf_b):
+    """<u_a|u_b> over the interval both grids cover, on the union of their points."""
+    lo, hi = max(wf_a.r[0], wf_b.r[0]), min(wf_a.r[-1], wf_b.r[-1])
+    r = np.union1d(wf_a.r, wf_b.r)
+    r = r[(r >= lo) & (r <= hi)]
+    return float(trapezoid(np.interp(r, wf_a.r, wf_a.u) * np.interp(r, wf_b.r, wf_b.u), r))
+
+
+@pytest.fixture
+def full_support(monkeypatch):
+    """A grid reaching in to 1e-3 n^2 a0 with at least 4,000 points, so the
+    wavefunction keeps its whole inner lobe and every node."""
+    monkeypatch.setattr(structure, "_INNER_CUTOFF_FACTOR", 1e-3)
+    monkeypatch.setattr(structure, "_MIN_POINTS", 4000)
 
 
 @pytest.fixture(scope="module")
@@ -111,17 +129,17 @@ class TestHydrogenWavefunctions:
     @pytest.mark.parametrize("n,l,expected", [
         (1, 0, 0), (2, 0, 1), (3, 0, 2), (2, 1, 0), (3, 1, 1), (3, 2, 0), (4, 1, 2),
     ])
-    def test_node_counts(self, hydrogen, n, l, expected):
-        wf = numerov_wavefunction(hydrogen, n, l, l + 0.5, FULL_SUPPORT)
+    def test_node_counts(self, hydrogen, full_support, n, l, expected):
+        wf = numerov_wavefunction(hydrogen, n, l, l + 0.5)
         assert wf.nodes == expected
 
     @pytest.mark.parametrize("pair", [((2, 0), (3, 0)), ((3, 0), (4, 0)),
                                       ((2, 1), (3, 1)), ((3, 2), (4, 2))])
-    def test_orthogonality_same_l(self, hydrogen, pair):
+    def test_orthogonality_same_l(self, hydrogen, full_support, pair):
         (na, la), (nb, lb) = pair
-        wa = numerov_wavefunction(hydrogen, na, la, la + 0.5, FULL_SUPPORT)
-        wb = numerov_wavefunction(hydrogen, nb, lb, lb + 0.5, FULL_SUPPORT)
-        assert abs(radial_matrix_element(wa, wb, power=0)) < 1e-3
+        wa = numerov_wavefunction(hydrogen, na, la, la + 0.5)
+        wb = numerov_wavefunction(hydrogen, nb, lb, lb + 0.5)
+        assert abs(overlap(wa, wb)) < 1e-3
 
     def test_normalization(self, hydrogen):
         wf = numerov_wavefunction(hydrogen, 3, 1, 1.5)
@@ -146,11 +164,11 @@ class TestRubidiumWavefunctions:
         assert dipole == pytest.approx(math.sqrt(2.0 / 9.0) * element, rel=1e-12)
         assert dipole == pytest.approx(1634.9, rel=0.02)
 
-    def test_grid_refinement_stability(self, rb, pair):
-        fine = GridSpec(points_per_wavelength=80.0)
+    def test_grid_refinement_stability(self, rb, pair, monkeypatch):
+        monkeypatch.setattr(structure, "_POINTS_PER_WAVELENGTH", 80.0)
         refined = radial_matrix_element(
-            numerov_wavefunction(rb, 60, 0, 0.5, fine),
-            numerov_wavefunction(rb, 59, 1, 1.5, fine))
+            numerov_wavefunction(rb, 60, 0, 0.5),
+            numerov_wavefunction(rb, 59, 1, 1.5))
         coarse = radial_matrix_element(*pair)
         assert abs(refined - coarse) / abs(coarse) < 1e-3
 
@@ -169,20 +187,17 @@ class TestRubidiumWavefunctions:
 
 
 class TestGridAndErrors:
-    def test_r_max_must_clear_outer_turning_point(self, rb):
+    def test_r_max_must_clear_outer_turning_point(self):
+        # a defect of -5 puts the 1s turning point at 2 * 6^2 = 72 a0, beyond
+        # the grid's end at 2.5 * 1 * 16 = 40 a0
+        model = QuantumDefectModel(defects={(0, 1): (-5.0, 0.0)})
         with pytest.raises(ValueError, match="turning point"):
-            numerov_wavefunction(rb, 60, 0, 0.5, GridSpec(r_max=5000.0))
+            numerov_wavefunction(model, 1, 0, 0.5)
 
     def test_disjoint_grids_error(self, hydrogen):
-        w1 = numerov_wavefunction(hydrogen, 1, 0, 0.5, GridSpec(r_min=0.05, r_max=50.0))
-        w60 = numerov_wavefunction(hydrogen, 60, 0, 0.5, GridSpec(r_min=60.0))
+        # n = 1 ends at 40 a0 and n = 60 starts at 0.05 * 60^2 = 180 a0
+        w1 = numerov_wavefunction(hydrogen, 1, 0, 0.5)
+        w60 = numerov_wavefunction(hydrogen, 60, 0, 0.5)
+        assert w1.r[-1] < w60.r[0]
         with pytest.raises(ValueError, match="overlap"):
             radial_matrix_element(w1, w60)
-
-    def test_minimum_sampling_density_enforced(self):
-        with pytest.raises(ValueError, match="points_per_wavelength"):
-            GridSpec(points_per_wavelength=5.0)
-
-    def test_bad_r_min(self, rb):
-        with pytest.raises(ValueError, match="r_min"):
-            numerov_wavefunction(rb, 60, 0, 0.5, GridSpec(r_min=20000.0))
