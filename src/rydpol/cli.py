@@ -141,8 +141,9 @@ def _cmd_structure(args):
         "energy_ghz": binding_energy(model, *upper),
         "transition_ghz": transition_frequency(model, upper, lower),
         "radial_element_ea0": radial,
-        "dipole_ea0": radial * REFERENCE_ANGULAR_FACTOR,
     }
+    if {upper[1:], lower[1:]} == {(0, 0.5), (1, 1.5)}:
+        payload["dipole_ea0"] = radial * REFERENCE_ANGULAR_FACTOR
     return _emit(args, config, {"structure.json": _json_text(payload)})
 
 
@@ -234,6 +235,8 @@ def _read_xy_sigma(path):
 
 def _cmd_fit(args):
     config = _resolve_config(args)
+    if args.max_iterations < 0:
+        raise ValueError(f"--max-iterations must be >= 0, got {args.max_iterations}")
     x, y, sigma = _read_xy_sigma(args.input)
     if args.model == "lorentzian":
         spec = lorentzian_spec(x, y)
@@ -315,8 +318,11 @@ def build_parser():
     _add_common(sub)
     sub.set_defaults(func=_cmd_radius)
 
-    sub = subparsers.add_parser("structure", help="transition frequency and "
-                                                  "dipole matrix elements")
+    sub = subparsers.add_parser(
+        "structure", help="transition frequency and dipole matrix elements",
+        description="Binding energy, transition frequency and radial element of two "
+                    "states, and dipole_ea0 for an s1/2-p3/2 pair (either order) only: "
+                    "its angular factor sqrt(2/9) holds for no other pair.")
     sub.add_argument("--upper", default="60s1/2", help="upper state, e.g. 60s1/2")
     sub.add_argument("--lower", default="59p3/2", help="lower state, e.g. 59p3/2")
     _add_common(sub)

@@ -6,27 +6,28 @@ curve for pulse-area scans of a stored register — sharpened revivals
 ``[cos^2(pi*omega*t)]^N`` blended with a tanh turn-on envelope and an
 exponential decay that takes over at low drive frequencies.
 
-The minimizer is a self-contained Levenberg-Marquardt loop: residual
-Jacobians by Richardson-extrapolated central differences, Marquardt
-diagonal scaling, and strictly monotone accepted steps.  A parameter at a bound that descent
-would push past it is held there: steps and the convergence test cover
-only the free parameters.  Convergence is declared when the norm of the
-cost gradient, measured in the inverse-curvature metric of the
-Gauss-Newton Hessian (square root of twice the cost decrease available to
-a full Gauss-Newton step — an affine-invariant gradient norm that is
-immune to the parameter and sigma scales), drops below
+Each model comes with its closed-form Jacobian columns, so a fit calls
+the model once per trial step and the Jacobian once per accepted step.
+The minimizer is a self-contained Levenberg-Marquardt loop with Marquardt
+diagonal scaling and strictly monotone accepted steps.  A parameter at a
+bound that descent would push past it is held there: steps and the
+convergence test cover only the free parameters.  Convergence is declared
+when the norm of the cost gradient, measured in the inverse-curvature
+metric of the Gauss-Newton Hessian (square root of twice the cost decrease
+available to a full Gauss-Newton step — an affine-invariant gradient norm
+that is immune to the parameter and sigma scales), drops below
 ``1e-8 * (1 + cost)``; hitting the iteration cap returns the best
-parameters seen with a non-converged status.  Parameter covariance is the inverse of the Gauss-Newton curvature
-``J^T J`` at the optimum, and the quoted 1-sigma uncertainties additionally
-carry the reduced chi^2 factor, matching the usual quoted-error convention
-when the supplied sigmas are only relative.
+parameters seen with a non-converged status.  Parameter covariance is the
+inverse of the Gauss-Newton curvature ``J^T J`` at the optimum, and the
+quoted 1-sigma uncertainties carry the reduced chi^2 factor as well, the
+usual convention when the supplied sigmas are only relative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "FitResult",
     "ModelSpec",
     "fit",
-    "finite_difference_jacobian",
     "lorentzian",
     "lorentzian_spec",
     "rabi_collective_model",
@@ -65,6 +65,16 @@ def lorentzian(x, amplitude, center, fwhm, offset):
     return offset + amplitude * half * half / ((x - center) ** 2 + half * half)
 
 
+def _lorentzian_jacobian(x, amplitude, center, fwhm, offset):
+    """Columns d lorentzian / d(amplitude, center, fwhm, offset) at x."""
+    half = 0.5 * fwhm
+    u = x - center
+    d = u * u + half * half
+    s = half * half / d
+    return np.stack([s, 2.0 * amplitude * s * u / d,
+                     amplitude * s * (1.0 - s) / half, np.ones_like(s)], axis=1)
+
+
 def rabi_collective_model(omega, t_pulse, a, n, omega_env, omega_decay, b):
     """Collective Rabi scan: revivals, tanh envelope, low-frequency decay.
 
@@ -91,15 +101,35 @@ def rabi_collective_model(omega, t_pulse, a, n, omega_env, omega_decay, b):
     return a * envelope * revivals + (1.0 - envelope) * a * np.exp(-omega / omega_decay) + b
 
 
+def _rabi_collective_jacobian(omega, t_pulse, a, n, omega_env, omega_decay, b):
+    """Columns d rabi_collective_model / d(a, n, omega_env, omega_decay, b).
+
+    The n column ``a*tanh*(cos^2)^n*ln(cos^2)`` is 0, its limit, where cos^2 = 0.
+    """
+    envelope = np.tanh(omega / omega_env)
+    squared = np.cos(np.pi * omega * t_pulse) ** 2
+    revivals = squared ** n
+    decay = np.exp(-omega / omega_decay)
+    log_squared = np.log(np.where(squared > 0.0, squared, 1.0))
+    return np.stack([
+        envelope * revivals + (1.0 - envelope) * decay,
+        a * envelope * revivals * log_squared,
+        -a * (revivals - decay) * (1.0 - envelope ** 2) * omega / omega_env ** 2,
+        (1.0 - envelope) * a * decay * omega / omega_decay ** 2,
+        np.ones_like(omega),
+    ], axis=1)
+
+
 # --------------------------------------------------------------------------
 # Model specifications with heuristic initializers
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model function bundled with parameter names, initial values, bounds."""
+    """Model function(x, p), its Jacobian columns, names, initial values, bounds."""
 
     parameter_names: tuple
     function: Callable = field(repr=False)
+    jacobian: Callable = field(repr=False)
     initial: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
@@ -157,6 +187,7 @@ def lorentzian_spec(x, y):
     return ModelSpec(
         parameter_names=("amplitude", "center", "fwhm", "offset"),
         function=lambda xx, p: lorentzian(xx, p[0], p[1], p[2], p[3]),
+        jacobian=lambda xx, p: _lorentzian_jacobian(xx, p[0], p[1], p[2], p[3]),
         initial=np.array([amplitude0, center0, fwhm0, offset0]),
         lower=np.array([0.0, x.min() - span, 0.05 * spacing, -np.inf]),
         upper=np.array([np.inf, x.max() + span, 10.0 * span, np.inf]),
@@ -192,6 +223,8 @@ def rabi_collective_spec(t_pulse, x, y):
         parameter_names=("a", "n", "omega_env", "omega_decay", "b"),
         function=lambda xx, p: rabi_collective_model(xx, t_pulse, p[0], p[1],
                                                      p[2], p[3], p[4]),
+        jacobian=lambda xx, p: _rabi_collective_jacobian(xx, t_pulse, p[0], p[1],
+                                                         p[2], p[3], p[4]),
         initial=np.array([a0, 2.0, scale0, scale0, b0]),
         lower=np.array([0.0, 1e-3, 1e-6, 1e-6, -np.inf]),
         upper=np.array([np.inf, 50.0, 100.0 * span, 100.0 * span, np.inf]),
@@ -200,45 +233,6 @@ def rabi_collective_spec(t_pulse, x, y):
 
 # --------------------------------------------------------------------------
 # Levenberg-Marquardt engine
-
-def finite_difference_jacobian(func, params, rel_step=1e-6):
-    """Richardson-extrapolated central-difference Jacobian of func at params.
-
-    Column j is differenced at the five steps ``h * 4**k``, k = 0..4, with
-    ``h = rel_step * max(|p_j|, 1e-8)``: ten calls per column.  Each pair of
-    neighbouring central differences D is extrapolated to
-    ``R_k = (16 D(h_k) - D(h_{k+1})) / 15``, which cancels the h^2 error.
-    Small steps lose digits to rounding in func (about eps |f| / h), large
-    ones to the remaining h^4 term.  So each entry takes, among R_0..R_3,
-    the one whose larger difference to a neighbour is smallest.  This keeps
-    entries far below the column maximum accurate, where a single step of
-    1e-6 leaves errors of 1e-5 relative.  Returns an (m, k) array for an
-    m-vector function of k parameters.
-    """
-    params = np.asarray(params, dtype=float)
-    base = np.asarray(func(params), dtype=float)
-    jac = np.empty((base.size, params.size))
-    rows = np.arange(base.size)
-    for j in range(params.size):
-        diffs = []
-        for k in range(5):
-            step = rel_step * max(abs(params[j]), 1e-8) * 4.0 ** k
-            forward = params.copy()
-            backward = params.copy()
-            forward[j] += step
-            backward[j] -= step
-            diffs.append((np.asarray(func(forward)) - np.asarray(func(backward)))
-                         / (2 * step))
-        diffs = np.asarray(diffs)
-        extrapolated = (16.0 * diffs[:-1] - diffs[1:]) / 15.0
-        gaps = np.abs(np.diff(extrapolated, axis=0))
-        padded = np.full((extrapolated.shape[0] + 1, base.size), -np.inf)
-        padded[1:-1] = gaps
-        error = np.maximum(padded[:-1], padded[1:])
-        error[~np.isfinite(error)] = np.inf
-        jac[:, j] = extrapolated[np.argmin(error, axis=0), rows]
-    return jac
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -312,8 +306,13 @@ def fit(spec, x, y, sigma, max_iterations=200):
     FitError.  Returns a FitResult whose
     status is "converged" when the curvature-metric norm of the cost
     gradient over the free parameters falls below ``1e-8 * (1 + cost)``
-    and "max_iterations" (best parameters so far) otherwise.
+    and "max_iterations" (best parameters so far) otherwise; max_iterations
+    = 0 returns the initial point.
     """
+    if (isinstance(max_iterations, bool)
+            or not isinstance(max_iterations, (int, np.integer)) or max_iterations < 0):
+        raise ValueError(
+            f"max_iterations must be a non-negative integer, got {max_iterations!r}")
     x, y = _validated_xy(x, y)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != y.shape:
@@ -337,7 +336,7 @@ def fit(spec, x, y, sigma, max_iterations=200):
     lam = 1e-3
     status = "max_iterations"
     iterations = 0
-    jac = finite_difference_jacobian(residuals, params)
+    jac = -spec.jacobian(x, params) / sigma[:, None]
     free = _free_parameters(jac, current, params, spec)
     gradient_norm = _metric_gradient_norm(_free_columns(jac, free), current)
 
@@ -373,7 +372,7 @@ def fit(spec, x, y, sigma, max_iterations=200):
         if trial_cost < cost:
             params, current, cost = trial, trial_res, trial_cost
             lam = max(lam / 3.0, 1e-12)
-            jac = finite_difference_jacobian(residuals, params)
+            jac = -spec.jacobian(x, params) / sigma[:, None]
             free = _free_parameters(jac, current, params, spec)
             gradient_norm = _metric_gradient_norm(_free_columns(jac, free), current)
         else:

@@ -336,8 +336,12 @@ class ClickRecord:
         # min and max propagate NaN, so the comparisons fail on it
         if times.size and not (times.min() >= 0 and times.max() < math.inf):
             raise ValueError("event times must be finite and non-negative")
-        if np.any(times[1:] < times[:-1]):
-            raise ValueError("event times must be sorted")
+        # overlapping windows of _CLICK_BLOCK + 1 events check every adjacent
+        # pair with no temporary as long as the record
+        for lo in range(0, times.size - 1, _CLICK_BLOCK):
+            window = times[lo:lo + _CLICK_BLOCK + 1]
+            if np.any(window[1:] < window[:-1]):
+                raise ValueError("event times must be sorted")
         _detector_codes(detectors)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "detectors", detectors)

@@ -121,6 +121,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("rydpol: error: --trials must be >= 2")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("iterations", [-1, -3])
+    def test_negative_max_iterations_names_the_flag(self, tmp_path, capsys, iterations):
+        x = np.linspace(-3, 3, 15)
+        scan = tmp_path / "scan.csv"
+        np.savetxt(scan, np.c_[x, lorentzian(x, 1.0, 0.0, 1.34, 0.05), np.full(x.size, 0.01)],
+                   delimiter=",")
+        out = tmp_path / "out"
+        code = run_cli("fit", "--model", "lorentzian", "--input", scan,
+                       "--max-iterations", iterations, "--output-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "rydpol: error: --max-iterations must be >= 0")
+        assert not out.exists()
+        assert run_cli("fit", "--model", "lorentzian", "--input", scan,
+                       "--max-iterations", 0, "--output-dir", out) == 0
+        assert read_json(out / "fit.json")["iterations"] == 0
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     @pytest.mark.parametrize("command", [("protocol", "--trials", 10, "--threads", 1),
                                          ("rabi-scan", "--points", 2, "--threads", 1),
@@ -197,6 +214,23 @@ class TestStructure:
         assert payload["dipole_ea0"] == pytest.approx(
             payload["radial_element_ea0"] * np.sqrt(2 / 9), rel=1e-12)
         assert payload["energy_ghz"] < 0  # bound state
+
+    @pytest.mark.parametrize("upper, lower", [("61s1/2", "60p3/2"), ("59p3/2", "60s1/2")])
+    def test_every_s_to_p3_2_pair_gets_a_dipole(self, tmp_path, upper, lower):
+        assert run_cli("structure", "--upper", upper, "--lower", lower,
+                       "--output-dir", tmp_path) == 0
+        payload = read_json(tmp_path / "structure.json")
+        assert payload["dipole_ea0"] == pytest.approx(
+            payload["radial_element_ea0"] * np.sqrt(2 / 9), rel=1e-12)
+
+    @pytest.mark.parametrize("lower", ["60s1/2", "58d5/2", "59p1/2"])
+    def test_other_pairs_get_no_dipole(self, tmp_path, lower):
+        # the reference angular factor is that of s1/2 -> p3/2 only
+        assert run_cli("structure", "--upper", "60s1/2", "--lower", lower,
+                       "--output-dir", tmp_path) == 0
+        payload = read_json(tmp_path / "structure.json")
+        assert "dipole_ea0" not in payload
+        assert sorted(payload) == ["energy_ghz", "radial_element_ea0", "transition_ghz"]
 
     def test_malformed_state_token_is_computation_error(self, tmp_path):
         assert run_cli("structure", "--upper", "60x9", "--lower", "59p3/2",

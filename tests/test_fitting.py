@@ -6,6 +6,7 @@ Independent oracles used here:
   * the harmonic expansion of [cos^2]^n, whose revival peaks narrow with n,
   * scipy.optimize.curve_fit on identical data as a cross-check optimizer
     (the engine under test shares no code with it),
+  * central differences of the model functions for the closed-form Jacobians,
   * binomial counting statistics for synthetic scan data at fixed seeds.
 """
 
@@ -23,7 +24,6 @@ import rydpol.fitting as fitting
 from rydpol.fitting import (
     FitError,
     ModelSpec,
-    finite_difference_jacobian,
     fit,
     lorentzian,
     lorentzian_spec,
@@ -125,18 +125,21 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="within bounds"):
             ModelSpec(parameter_names=("a",),
                       function=lambda x, p: p[0] * x,
+                      jacobian=lambda x, p: x[:, None],
                       initial=[3.0], lower=[0.0], upper=[2.0])
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
             ModelSpec(parameter_names=("a", "a"),
                       function=lambda x, p: p[0] * x,
+                      jacobian=lambda x, p: np.stack([x, 0 * x], axis=1),
                       initial=[1.0, 1.0], lower=[0.0, 0.0], upper=[2.0, 2.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="one entry per parameter"):
             ModelSpec(parameter_names=("a", "b"),
                       function=lambda x, p: p[0] * x + p[1],
+                      jacobian=lambda x, p: np.stack([x, np.ones_like(x)], axis=1),
                       initial=[1.0], lower=[0.0, 0.0], upper=[2.0, 2.0])
 
 
@@ -169,37 +172,64 @@ class TestHeuristicInitializers:
             lorentzian_spec(np.array([0.0, np.nan]), np.array([1.0, 2.0]))
 
 
+def central_differences(spec, x, params, scales):
+    """Central-difference columns of spec.function, parameter j stepped by 1e-5 * scales[j]."""
+    columns = []
+    for j, scale in enumerate(scales):
+        step = 1e-5 * scale
+        up, down = params.copy(), params.copy()
+        up[j] += step
+        down[j] -= step
+        columns.append((spec.function(x, up) - spec.function(x, down)) / (2.0 * step))
+    return np.stack(columns, axis=1)
+
+
+def assert_columns_match(spec, x, params, scales, magnitude):
+    # Rounding in the model, about eps * magnitude, over the step bounds
+    # the reference's absolute error; its truncation error is far smaller.
+    jac = spec.jacobian(x, params)
+    reference = central_differences(spec, x, params, scales)
+    assert jac.shape == (x.size, spec.n_parameters)
+    assert np.all(np.isfinite(jac))
+    tolerance = 1e-6 * np.abs(reference) + 1e-8 * magnitude / np.asarray(scales)
+    assert np.all(np.abs(jac - reference) <= tolerance)
+
+
+def log_uniform(low, high):
+    # clipped, as 10 ** log10(high) can round past high
+    return st.floats(math.log10(low), math.log10(high)).map(
+        lambda e: min(max(10.0 ** e, low), high))
+
+
+#: revival peaks and zeros (k + 1/2)/t of the scan pulse next to the scan drives
+JACOBIAN_OMEGAS = np.sort(np.concatenate([
+    SCAN_OMEGAS, np.arange(3) / T_PULSE, (np.arange(3) + 0.5) / T_PULSE]))
+
+
 class TestJacobian:
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_two_step_sizes_agree(self, seed):
-        # Central differences at two independent step sizes must agree to
-        # 1e-5 relative wherever the entry is not vanishingly small.
-        rng = np.random.default_rng(seed)
+    @given(st.floats(0.0, 10.0), st.floats(-5.0, 5.0), log_uniform(0.0215, 60.0),
+           st.floats(-1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_lorentzian_columns_match_central_differences(self, amplitude, center, fwhm,
+                                                          offset):
         x = np.linspace(-3, 3, 15)
-        params = np.array([
-            rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0),
-            rng.uniform(0.8, 2.5), rng.uniform(-0.2, 0.2)])
+        spec = lorentzian_spec(x, lorentzian(x, 1.0, 0.0, 1.34, 0.05))
+        params = np.array([amplitude, center, fwhm, offset])
+        assert np.all((params >= spec.lower) & (params <= spec.upper))
+        assert_columns_match(spec, x, params, [max(amplitude, 1.0), fwhm, fwhm, 1.0],
+                             amplitude + abs(offset) + 1.0)
 
-        def residuals(p):
-            return lorentzian(x, p[0], p[1], p[2], p[3])
-
-        jac_a = finite_difference_jacobian(residuals, params, rel_step=1e-6)
-        jac_b = finite_difference_jacobian(residuals, params, rel_step=2.5e-5)
-        scale = np.maximum(np.abs(jac_a), np.abs(jac_b))
-        mask = scale > 1e-6 * scale.max()
-        rel = np.abs(jac_a - jac_b)[mask] / scale[mask]
-        assert rel.max() < 1e-5
-
-    def test_matches_analytic_derivative(self):
-        x = np.linspace(-2, 2, 9)
-
-        def residuals(p):
-            return p[0] * x ** 2 + p[1] * x
-
-        jac = finite_difference_jacobian(residuals, np.array([1.5, -0.3]))
-        assert np.allclose(jac[:, 0], x ** 2, atol=1e-8)
-        assert np.allclose(jac[:, 1], x, atol=1e-8)
+    @given(st.floats(0.0, 1.0), log_uniform(1e-3, 50.0), log_uniform(1e-6, 1300.0),
+           log_uniform(1e-6, 1300.0), st.floats(-0.1, 0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_rabi_collective_columns_match_central_differences(self, a, n, omega_env,
+                                                               omega_decay, b):
+        y, _ = synthetic_scan(301)
+        spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)
+        params = np.array([a, n, omega_env, omega_decay, b])
+        assert np.all((params >= spec.lower) & (params <= spec.upper))
+        assert_columns_match(spec, JACOBIAN_OMEGAS, params,
+                             [1.0, n, omega_env, omega_decay, 1.0], a + abs(b) + 1.0)
 
 
 class TestFitEngine:
@@ -332,6 +362,21 @@ class TestFitEngine:
             fit(spec, SCAN_OMEGAS[:3], y[:3], sigma[:3])
         with pytest.raises(ValueError, match="bounds"):
             replace(spec, initial=np.array([1.0, -5.0, 2.0, 3.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [-1, -5, 2.0, True, None])
+    def test_max_iterations_must_be_a_non_negative_integer(self, bad):
+        y, sigma = synthetic_scan(9800)
+        spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)
+        with pytest.raises(ValueError, match="max_iterations"):
+            fit(spec, SCAN_OMEGAS, y, sigma, max_iterations=bad)
+
+    def test_zero_iterations_return_the_initial_point(self):
+        y, sigma = synthetic_scan(9800)
+        spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)
+        result = fit(spec, SCAN_OMEGAS, y, sigma, max_iterations=np.int64(0))
+        assert result.iterations == 0
+        assert result.status == "max_iterations"
+        assert result.parameters.tobytes() == spec.initial.tobytes()
 
     def test_optimum_on_a_bound_converges(self):
         # A Lorentzian 100 times wider than the spec allows: the best fit

@@ -762,6 +762,17 @@ class TestBlockedClickPipeline:
         offsets = np.mod(clicks.times, CFG.repetition_period)
         assert offsets.min() >= 1.2 and offsets.max() < 1.3
 
+    @pytest.mark.parametrize("boundary", [1, 2])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_order_is_checked_across_block_boundaries(self, monkeypatch, block, boundary):
+        # each block is sorted; only the pair straddling one boundary is not
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        times = np.arange(3.0 * block + 1.0)
+        times[boundary * block - 1] = times[boundary * block] + 0.5
+        with pytest.raises(ValueError, match="sorted"):
+            ClickRecord(times=times, detectors=np.full(times.size, "A"),
+                        n_trials=times.size, repetition_period=6.0)
+
 
 #: Trials of the memory-bound runs, read _CLICK_BLOCK = 1024 events or trials at a time.
 MEMORY_TRIALS = 200_000
@@ -794,6 +805,14 @@ class TestClickPipelineMemory:
         drifted, peak = traced_peak(efficiency_drift_model, clicks, DriftSpec(amplitude=0.4))
         output = drifted.times.nbytes + drifted.detectors.nbytes
         assert peak - output <= 2 * clicks.times.size + 2 ** 20
+
+    def test_record_checks_order_without_a_whole_run_temporary(self):
+        times = np.arange(1_000_000, dtype=float)
+        build = partial(ClickRecord, times=times, detectors=np.full(times.size, "B"),
+                        n_trials=times.size, repetition_period=6.0)
+        record, peak = traced_peak(build)
+        assert record.times is times
+        assert peak < 2 ** 18
 
     def test_g2_holds_eight_bytes_per_trial(self):
         clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4), 4)
