@@ -41,7 +41,8 @@ params = result.as_dict()
 errors = result.uncertainty_dict()
 print("single realization:")
 for name in result.parameter_names:
-    print(f"  {name:12s} = {params[name]:.5g} +/- {errors[name]:.2g}")
+    error = "(held at a bound)" if errors[name] is None else f"+/- {errors[name]:.2g}"
+    print(f"  {name:12s} = {params[name]:.5g} {error}")
 print(f"  chi2/dof     = {result.chi2 / (OMEGAS.size - 5):.3f} "
       f"({result.iterations} iterations, {result.status})")
 

@@ -18,9 +18,11 @@ available to a full Gauss-Newton step — an affine-invariant gradient norm
 that is immune to the parameter and sigma scales), drops below
 ``1e-8 * (1 + cost)``; hitting the iteration cap returns the best
 parameters seen with a non-converged status.  Parameter covariance is the
-inverse of the Gauss-Newton curvature ``J^T J`` at the optimum, and the
-quoted 1-sigma uncertainties carry the reduced chi^2 factor as well, the
-usual convention when the supplied sigmas are only relative.
+inverse of the Gauss-Newton curvature ``J^T J`` of the free parameters at
+the optimum, and the quoted 1-sigma uncertainties carry the reduced chi^2
+factor as well, the usual convention when the supplied sigmas are only
+relative.  A parameter held at a bound has no uncertainty: its row and
+column of the covariance and its uncertainty are NaN.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ class FitResult:
                 for name, value in zip(self.parameter_names, self.parameters)}
 
     def uncertainty_dict(self):
-        return {name: float(value)
+        """Uncertainty per parameter; None for one held at a bound, which has none."""
+        return {name: None if math.isnan(value) else float(value)
                 for name, value in zip(self.parameter_names, self.uncertainties)}
 
 
@@ -385,9 +388,14 @@ def fit(spec, x, y, sigma, max_iterations=200):
     if gradient_norm < GRADIENT_TOLERANCE * (1.0 + cost):
         status = "converged"
 
-    normal = jac.T @ jac
-    covariance = np.linalg.pinv(normal, hermitian=True)
+    # the covariance of the free parameters; a held one has none (NaN)
+    active = _free_columns(jac, free)
+    covariance = np.linalg.pinv(active.T @ active, hermitian=True)
     covariance = 0.5 * (covariance + covariance.T)
+    if not free.all():
+        held = np.full((free.size, free.size), np.nan)
+        held[np.ix_(free, free)] = covariance
+        covariance = held
     dof = max(x.size - spec.n_parameters, 1)
     chi2_reduced = cost / dof
     uncertainties = np.sqrt(np.maximum(np.diag(covariance), 0.0) * chi2_reduced)

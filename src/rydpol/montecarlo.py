@@ -4,7 +4,9 @@ Pipeline per trial: sample excitation candidates in the trapped cloud, write
 polaritons under hard-sphere blockade, evolve the stored register through the
 microwave pulse, then draw per-polariton retrieval, detection thinning, and
 Poisson background.  Click-level utilities place retrieved photons on two
-detectors and build the pulsed Hanbury Brown-Twiss correlation g2(k*T).
+detectors and build the pulsed Hanbury Brown-Twiss correlation g2(k*T);
+simulate_hbt_run streams the click stream into that correlation a block of
+trials at a time, without building the run's click record.
 
 Randomness follows the stream contract in ``rydpol.rng``: every stage of
 every trial draws from its own counter-based stream, so results are
@@ -31,7 +33,7 @@ from .interactions import (
     build_pi_sector_hamiltonian,
     time_evolve,
 )
-from .rng import _key, _rekeyed_stream, philox_stream
+from .rng import _check_label, _key, _rekeyed_stream, philox_stream
 
 #: Probability that an input photon produces a Rydberg excitation candidate
 #: during the write pulse.  Calibrated so the blockaded write at the default
@@ -364,10 +366,100 @@ def _pulse_index(times, period):
     return index
 
 
-#: Trials per block of generate_click_stream, and events per block of
-#: efficiency_drift_model and hbt_g2, so that no stage of the click pipeline
-#: holds a temporary as long as the run.
-_CLICK_BLOCK = 65_536
+#: Trials per block of the click stream, and events per block of
+#: efficiency_drift_model, hbt_g2 and ClickRecord's order check, so that no
+#: stage of the click pipeline holds a temporary as long as the run.
+_CLICK_BLOCK = 16_384
+
+
+class _ClickDraws:
+    """The click stream's draws for a run, placed a block of _CLICK_BLOCK trials at a time.
+
+    Everything is drawn at construction, in stream order: the signal
+    offsets, then the background counts and offsets, then the detector
+    codes of [signal, background].  Each distribution draws the same values
+    in blocks as in one call over the run.  Offsets outside the window are
+    redrawn in run order, one draw per pass, so every offset is drawn before
+    the background.  place(b) builds block b's events.  Every event of
+    a trial lies inside the trial's period (0 <= start < end < period), so
+    sorting each block's [signal, background] stably equals sorting the
+    run's.
+    """
+
+    def __init__(self, config, per_trial_photon_counts, seed):
+        counts = np.asarray(per_trial_photon_counts)
+        if counts.ndim != 1 or counts.size < 1:
+            raise ValueError("per_trial_photon_counts must be a non-empty 1-d sequence")
+        integral = counts.dtype.kind in "iub"
+        if not integral:
+            counts = counts.astype(float, copy=False)
+        # min and max propagate NaN, so the comparisons fail on it
+        if not (counts.min() >= 0 and counts.max() < math.inf):
+            raise ValueError("photon counts must be finite and non-negative")
+        self.counts = counts
+        self.period = config.repetition_period
+        n_trials = counts.size
+        self.blocks = [(lo, min(lo + _CLICK_BLOCK, n_trials))
+                       for lo in range(0, n_trials, _CLICK_BLOCK)]
+        rng = philox_stream(seed, _STAGE_CLICKS)
+        start, end = config.retrieval_window
+        center = 0.5 * (start + end)
+        sigma = RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+        # each event's time is its pulse start plus its offset in the window
+        self.signal = []
+        outside = []
+        for lo, hi in self.blocks:
+            block = counts[lo:hi]
+            if not integral and np.any(np.floor(block) != block):
+                raise ValueError("photon counts must be whole numbers")
+            offsets = rng.normal(center, sigma, size=int(block.sum()))
+            self.signal.append(offsets)
+            outside.append(np.flatnonzero((offsets < start) | (offsets >= end)))
+        # offsets outside the window are redrawn in run order, one draw per pass
+        while redraws := sum(where.size for where in outside):
+            redrawn = np.split(rng.normal(center, sigma, size=redraws),
+                               np.cumsum([where.size for where in outside[:-1]]))
+            for offsets, where, values in zip(self.signal, outside, redrawn):
+                offsets[where] = values
+            outside = [where[(values < start) | (values >= end)]
+                       for where, values in zip(outside, redrawn)]
+
+        # per block, the trials with background and their event counts
+        self.hits = []
+        for lo, hi in self.blocks:
+            drawn = rng.poisson(config.background_rate * config.window_duration, size=hi - lo)
+            hit = np.flatnonzero(drawn)
+            self.hits.append((hit + lo, drawn[hit]))
+        # block b's events are signal_at[b]:signal_at[b + 1] of the run's signal,
+        # and background_at[b]:background_at[b + 1] of its background
+        self.signal_at = np.cumsum([0] + [offsets.size for offsets in self.signal])
+        self.background_at = np.cumsum([0] + [int(n.sum()) for _, n in self.hits])
+        self.background = rng.uniform(start, end, size=self.background_at[-1])
+
+        # detector codes in the order [signal, background], as the events are drawn
+        self.codes = rng.integers(0, 2, size=self.signal_at[-1] + self.background.size,
+                                  dtype=np.uint32)
+        self.codes += _DETECTOR_A
+        self.background_codes = self.codes[self.signal_at[-1]:].copy()
+
+    def place(self, b):
+        """(slice, times, codes): where block b's events go in the run, sorted by time.
+
+        The block's signal offsets are released.
+        """
+        lo, hi = self.blocks[b]
+        s0, s1 = self.signal_at[b], self.signal_at[b + 1]
+        e0, e1 = self.background_at[b], self.background_at[b + 1]
+        hit, n_hit = self.hits[b]
+        offsets, self.signal[b] = self.signal[b], None
+        times = np.concatenate([
+            offsets + np.repeat(np.arange(lo, hi, dtype=float) * self.period,
+                                self.counts[lo:hi].astype(np.int64, copy=False)),
+            self.background[e0:e1] + np.repeat(hit * self.period, n_hit)])
+        order = np.argsort(times, kind="stable")
+        codes = np.concatenate([self.codes[s0:s1], self.background_codes[e0:e1]])
+        return slice(s0 + e0, s1 + e1), times.take(order), codes.take(order)
 
 
 def generate_click_stream(config, per_trial_photon_counts, seed):
@@ -376,84 +468,19 @@ def generate_click_stream(config, per_trial_photon_counts, seed):
     Signal photons land on a Gaussian pulse (FWHM RETRIEVAL_PULSE_FWHM)
     centered in the retrieval window; background is a homogeneous Poisson
     process over the window; every event is routed 50/50 to detector A or B.
-
-    The record is built _CLICK_BLOCK trials at a time.  Each distribution
-    draws the same values in blocks as in one call over the run, and every
-    event of a trial lies inside the trial's period (0 <= start < end <
-    period), so sorting each block's [signal, background] stably equals
-    sorting the run's.
+    The record is built _CLICK_BLOCK trials at a time (see _ClickDraws).
     """
-    counts = np.asarray(per_trial_photon_counts)
-    if counts.ndim != 1 or counts.size < 1:
-        raise ValueError("per_trial_photon_counts must be a non-empty 1-d sequence")
-    integral = counts.dtype.kind in "iub"
-    if not integral:
-        counts = counts.astype(float, copy=False)
-    # min and max propagate NaN, so the comparisons fail on it
-    if not (counts.min() >= 0 and counts.max() < math.inf):
-        raise ValueError("photon counts must be finite and non-negative")
-    n_trials = counts.size
-    blocks = [(lo, min(lo + _CLICK_BLOCK, n_trials)) for lo in range(0, n_trials, _CLICK_BLOCK)]
-    rng = philox_stream(seed, _STAGE_CLICKS)
-    start, end = config.retrieval_window
-    center = 0.5 * (start + end)
-    sigma = RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    period = config.repetition_period
-
-    # each event's time is its pulse start plus its offset in the window
-    signal = []
-    outside = []
-    for lo, hi in blocks:
-        block = counts[lo:hi]
-        if not integral and np.any(np.floor(block) != block):
-            raise ValueError("photon counts must be whole numbers")
-        offsets = rng.normal(center, sigma, size=int(block.sum()))
-        signal.append(offsets)
-        outside.append(np.flatnonzero((offsets < start) | (offsets >= end)))
-    # offsets outside the window are redrawn in run order, one draw per pass
-    while redraws := sum(where.size for where in outside):
-        redrawn = np.split(rng.normal(center, sigma, size=redraws),
-                           np.cumsum([where.size for where in outside[:-1]]))
-        for offsets, where, values in zip(signal, outside, redrawn):
-            offsets[where] = values
-        outside = [where[(values < start) | (values >= end)]
-                   for where, values in zip(outside, redrawn)]
-
-    # per block, the trials with background and their event counts
-    hits = []
-    for lo, hi in blocks:
-        drawn = rng.poisson(config.background_rate * config.window_duration, size=hi - lo)
-        hit = np.flatnonzero(drawn)
-        hits.append((hit + lo, drawn[hit]))
-    # block b's events are signal_at[b]:signal_at[b + 1] of the run's signal,
-    # and background_at[b]:background_at[b + 1] of its background
-    signal_at = np.cumsum([0] + [offsets.size for offsets in signal])
-    background_at = np.cumsum([0] + [int(n.sum()) for _, n in hits])
-    background = rng.uniform(start, end, size=background_at[-1])
-
-    # detector codes in the order [signal, background], as the events are drawn;
+    draws = _ClickDraws(config, per_trial_photon_counts, seed)
+    codes = draws.codes
+    times = np.empty(codes.size)
     # each block's sorted codes overwrite the codes of its own and later
     # blocks, so blocks are placed from the last one back
-    codes = rng.integers(0, 2, size=signal_at[-1] + background.size, dtype=np.uint32)
-    codes += _DETECTOR_A
-    background_codes = codes[signal_at[-1]:].copy()
-    times = np.empty(codes.size)
-    for b in reversed(range(len(blocks))):
-        lo, hi = blocks[b]
-        s0, s1 = signal_at[b], signal_at[b + 1]
-        e0, e1 = background_at[b], background_at[b + 1]
-        hit, n_hit = hits.pop()
-        block_times = np.concatenate([
-            signal.pop() + np.repeat(np.arange(lo, hi, dtype=float) * period,
-                                     counts[lo:hi].astype(np.int64, copy=False)),
-            background[e0:e1] + np.repeat(hit * period, n_hit)])
-        order = np.argsort(block_times, kind="stable")
-        placed = slice(s0 + e0, s1 + e1)
-        np.take(block_times, order, out=times[placed])
-        np.take(np.concatenate([codes[s0:s1], background_codes[e0:e1]]), order,
-                out=codes[placed])
+    for b in reversed(range(len(draws.blocks))):
+        placed, block_times, block_codes = draws.place(b)
+        times[placed] = block_times
+        codes[placed] = block_codes
     return ClickRecord(times=times, detectors=codes.view(_LABEL_DTYPE),
-                       n_trials=int(n_trials), repetition_period=float(period))
+                       n_trials=int(draws.counts.size), repetition_period=float(draws.period))
 
 
 # --------------------------------------------------------------------------
@@ -482,7 +509,7 @@ class G2Result:
 #: Side-peak delays, in pulses, over which hbt_g2 normalizes.
 _NORM_RANGE = (5, 50)
 
-#: Pulses per row in hbt_g2's blocked correlation.
+#: Pulses per row of _cross_correlation.
 _CORRELATION_ROW = 64
 
 
@@ -497,72 +524,127 @@ def _check_delays(max_delay, n_trials):
             f"max_delay {max_delay!r} exceeds the number of trials ({n_trials})")
 
 
-def _cross_correlation(counts_a, counts_b, max_delay):
-    """C_k = sum_i a_i b_(i+k) for |k| <= max_delay, from whole rows of pulses.
+def _cross_correlation(counts, max_delay):
+    """C_k = sum_i a_i b_(i+k) for |k| <= max_delay, where (a, b) = counts, from rows of pulses.
 
     a and b are zero-padded to rows of _CORRELATION_ROW pulses.  Summed over
     rows r, the product A[r]^T B[r + d] of the row offset d holds at entry
     (p, q) the pairs at delay k = d * row + q - p, so C_k adds up diagonals
-    of the ceil(max_delay / row) offsets on each side.  Rows are taken a
-    block at a time, each with the rows of B that its offsets reach.  The
-    counts are integers and every partial sum stays below 2^53, so the sums
-    are exact in any order; extra memory is one block of rows and one
-    row x row product.
+    of the ceil(max_delay / row) offsets on each side.  The counts are
+    integers and every partial sum stays below 2^53, so the sums are exact
+    in any order.
     """
     row = _CORRELATION_ROW
-    a = counts_a.reshape(-1, row)
-    b = counts_b.reshape(-1, row)
-    rows = a.shape[0]
+    width = counts.shape[1]
+    rows = -(-width // row)
     reach = -(-max_delay // row)
-    block = max(1, _CLICK_BLOCK // row)
+    a = np.zeros((rows, row))
+    a.reshape(-1)[:width] = counts[0]
+    # rows -reach .. rows + reach - 1 of B, zero outside the counts
+    b = np.zeros((rows + 2 * reach, row))
+    b.reshape(-1)[reach * row:reach * row + width] = counts[1]
     # diagonal q - p of each entry, shifted to [0, 2 * row - 2]
     diagonal = (np.arange(row) - np.arange(row)[:, None] + row - 1).ravel()
     span = reach * row + row - 1      # the largest |k| any offset reaches
     sums = np.zeros(2 * span + 1)
-    for r0 in range(0, rows, block):
-        a_rows = a[r0:r0 + block].astype(float)
-        # rows r0 - reach .. r0 + block + reach of B, zero outside the run
-        b_rows = np.zeros((a_rows.shape[0] + 2 * reach, row))
-        first = max(r0 - reach, 0)
-        b_part = b[first:r0 + block + reach]
-        b_rows[first - (r0 - reach):][:b_part.shape[0]] = b_part
-        for d in range(-reach, reach + 1):
-            product = a_rows.T @ b_rows[reach + d:reach + d + a_rows.shape[0]]
-            lowest = span + d * row - (row - 1)
-            sums[lowest:lowest + 2 * row - 1] += np.bincount(
-                diagonal, weights=product.ravel(), minlength=2 * row - 1)
+    for d in range(-reach, reach + 1):
+        product = a.T @ b[reach + d:reach + d + rows]
+        lowest = span + d * row - (row - 1)
+        sums[lowest:lowest + 2 * row - 1] += np.bincount(
+            diagonal, weights=product.ravel(), minlength=2 * row - 1)
     return sums[span - max_delay:span + max_delay + 1]
 
 
-def _pulse_counts(clicks, columns):
-    """Clicks per pulse of detector A (row 0) and B (row 1), uint32, shape (2, columns).
+class _PulseCorrelator:
+    """Cross-detector coincidences of events fed in time order, and their g2.
 
-    columns >= n_trials; events at or past n_trials periods are dropped.
-    Events are taken _CLICK_BLOCK at a time, with one bincount over the
-    pulses a block spans; a block spans at most 4 * _CLICK_BLOCK pulses, so
-    a sparse record needs no bincount as long as the run.
+    add() bins events per pulse and detector, dropping those at or past
+    n_trials, into a buffer of max_delay + max(max_delay, _CLICK_BLOCK)
+    pulses whose first max_delay are the tail, pulses correlated before.
+    When an event falls past the buffer, C(buffer) - C(tail) (see
+    _cross_correlation) adds the pairs whose later pulse is new, and the
+    max_delay pulses before that event become the tail.  Every C is an
+    exact integer, so the sums equal the whole run's exactly.
     """
-    n_trials = clicks.n_trials
-    times = clicks.times
-    codes = _detector_codes(clicks.detectors)
-    counts = np.zeros((2, columns), dtype=np.uint32)
-    lo = 0
-    while lo < times.size:
-        # pulse indices never decrease along the sorted times
-        keys = _pulse_index(times[lo:lo + _CLICK_BLOCK], clicks.repetition_period)
-        keys = keys.astype(np.int64)
-        first = int(keys[0])
-        if first >= n_trials:
-            break
-        keys = keys[:np.searchsorted(keys, min(first + 4 * _CLICK_BLOCK, n_trials))]
-        width = int(keys[-1]) - first + 1
-        keys -= first
-        keys += width * (codes[lo:lo + keys.size] != _DETECTOR_A)
-        window = counts[:, first:first + width]
-        np.add(window, np.bincount(keys, minlength=2 * width).reshape(2, width),
-               out=window, casting="unsafe")
-        lo += keys.size
-    return counts
+
+    def __init__(self, max_delay, n_trials):
+        self.max_delay = max_delay
+        self.n_trials = n_trials
+        self.counts = np.zeros((2, max_delay + max(max_delay, _CLICK_BLOCK)), dtype=np.int64)
+        self.start = -max_delay   # the pulse of column 0
+        self.used = max_delay     # columns up to the last pulse binned
+        self.sums = np.zeros(2 * max_delay + 1)
+        self.on_a = 0             # events binned per detector
+        self.on_b = 0
+
+    def add(self, pulses, codes):
+        """Bins events at pulse indices `pulses` with detector codes `codes`.
+
+        pulses (as _pulse_index returns them) never decrease, within a call
+        or across calls.
+        """
+        keys = pulses.astype(np.int64)
+        keys = keys[:np.searchsorted(keys, self.n_trials)]
+        on_b = codes[:keys.size] != _DETECTOR_A
+        n_b = int(np.count_nonzero(on_b))
+        self.on_a += keys.size - n_b
+        self.on_b += n_b
+        while keys.size:
+            if keys[0] >= self.start + self.counts.shape[1]:
+                self._flush(int(keys[0]))
+            fit = np.searchsorted(keys, self.start + self.counts.shape[1])
+            first = int(keys[0]) - self.start
+            width = int(keys[fit - 1] - keys[0]) + 1
+            window = self.counts[:, first:first + width]
+            window += np.bincount(keys[:fit] - keys[0] + width * on_b[:fit],
+                                  minlength=2 * width).reshape(2, width)
+            self.used = first + width
+            keys, on_b = keys[fit:], on_b[fit:]
+
+    def _flush(self, upto):
+        """Correlates the new pulses; the max_delay pulses before `upto` become the tail."""
+        self.sums += _cross_correlation(self.counts[:, :self.used], self.max_delay)
+        self.sums -= _cross_correlation(self.counts[:, :self.max_delay], self.max_delay)
+        shift = upto - self.max_delay - self.start
+        kept = self.counts[:, shift:self.used].copy()
+        self.counts[:] = 0
+        self.counts[:, :kept.shape[1]] = kept
+        self.start += shift
+        self.used = self.max_delay
+
+    def result(self, period):
+        """The G2Result of the events binned (see hbt_g2)."""
+        self._flush(self.start + self.used)
+        n_trials, max_delay = self.n_trials, self.max_delay
+        k_lo, k_hi = _NORM_RANGE
+        ks = np.arange(-max_delay, max_delay + 1)
+        coincidences = self.sums
+        pairs_available = (n_trials - np.abs(ks)).astype(float)
+
+        rate = coincidences / pairs_available
+        in_norm = (np.abs(ks) >= k_lo) & (np.abs(ks) <= k_hi)
+        norm = float(np.mean(rate[in_norm]))
+        if norm <= 0:
+            raise ValueError("no coincidences in the normalization range")
+        norm_err = float(np.sqrt(np.sum(coincidences[in_norm])) /
+                         np.sum(pairs_available[in_norm]))
+
+        g2 = rate / norm
+        relative_norm = norm_err / norm
+        g2_err = np.where(coincidences > 0,
+                          g2 * np.sqrt(np.divide(1.0, coincidences,
+                                                 out=np.zeros_like(coincidences),
+                                                 where=coincidences > 0)
+                                       + relative_norm ** 2),
+                          0.0)
+        zero_bin = max_delay
+        # the mean clicks per pulse of A times those of B
+        uncorrelated = (self.on_a / n_trials) * (self.on_b / n_trials)
+        side_level = norm / uncorrelated if uncorrelated > 0 else math.inf
+        return G2Result(tau_bins=ks * period, g2=g2, statistical_error=g2_err,
+                        coincidence_counts=coincidences.astype(np.int64),
+                        g2_zero=float(g2[zero_bin]), g2_zero_err=float(g2_err[zero_bin]),
+                        side_peak_level=side_level)
 
 
 def hbt_g2(clicks, max_delay=60):
@@ -573,46 +655,20 @@ def hbt_g2(clicks, max_delay=60):
     reports that normalization relative to the fully uncorrelated rate
     (mean_A * mean_B), which rises as 1 + Var/Mean^2 under slow efficiency
     drift while leaving the normalized bins untouched.  The coincidence
-    counts C_k are exact integers (see _cross_correlation).
+    counts C_k are exact integers.  The record is binned _CLICK_BLOCK events
+    at a time into a _PulseCorrelator, and events at or past n_trials
+    periods are dropped.
     """
     if clicks.times.size < 2:
         raise ValueError("need at least two events to correlate")
-    n_trials = clicks.n_trials
-    _check_delays(max_delay, n_trials)
-    k_lo, k_hi = _NORM_RANGE
-    max_delay = int(max_delay)
-    # zero-padded to whole correlation rows
-    padded = -(-n_trials // _CORRELATION_ROW) * _CORRELATION_ROW
-    counts_a, counts_b = _pulse_counts(clicks, padded)
-
-    ks = np.arange(-max_delay, max_delay + 1)
-    coincidences = _cross_correlation(counts_a, counts_b, max_delay)
-    pairs_available = (n_trials - np.abs(ks)).astype(float)
-
-    rate = coincidences / pairs_available
-    in_norm = (np.abs(ks) >= k_lo) & (np.abs(ks) <= k_hi)
-    norm = float(np.mean(rate[in_norm]))
-    if norm <= 0:
-        raise ValueError("no coincidences in the normalization range")
-    norm_err = float(np.sqrt(np.sum(coincidences[in_norm])) /
-                     np.sum(pairs_available[in_norm]))
-
-    g2 = rate / norm
-    relative_norm = norm_err / norm
-    g2_err = np.where(coincidences > 0,
-                      g2 * np.sqrt(np.divide(1.0, coincidences,
-                                             out=np.zeros_like(coincidences),
-                                             where=coincidences > 0)
-                                   + relative_norm ** 2),
-                      0.0)
-    zero_bin = max_delay
-    uncorrelated = float(np.mean(counts_a[:n_trials]) * np.mean(counts_b[:n_trials]))
-    side_level = norm / uncorrelated if uncorrelated > 0 else math.inf
-    return G2Result(tau_bins=ks * clicks.repetition_period, g2=g2,
-                    statistical_error=g2_err,
-                    coincidence_counts=coincidences.astype(np.int64),
-                    g2_zero=float(g2[zero_bin]), g2_zero_err=float(g2_err[zero_bin]),
-                    side_peak_level=side_level)
+    _check_delays(max_delay, clicks.n_trials)
+    correlator = _PulseCorrelator(int(max_delay), clicks.n_trials)
+    codes = _detector_codes(clicks.detectors)
+    for lo in range(0, clicks.times.size, _CLICK_BLOCK):
+        correlator.add(_pulse_index(clicks.times[lo:lo + _CLICK_BLOCK],
+                                    clicks.repetition_period),
+                       codes[lo:lo + _CLICK_BLOCK])
+    return correlator.result(clicks.repetition_period)
 
 
 def background_correct_g2(g2_measured, signal_fraction):
@@ -641,11 +697,12 @@ class DriftSpec:
     """Slow sinusoidal modulation of the per-trial retrieval efficiency."""
 
     amplitude: float              # peak relative modulation, in [0, 1)
-    rng_seed: int = 0
+    rng_seed: int = 0             # master seed of the thinning stream
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 1.0):
             raise ValueError(f"amplitude must be in [0, 1), got {self.amplitude!r}")
+        _check_label("rng_seed", self.rng_seed)
 
     @classmethod
     def from_relative_std(cls, relative_std, rng_seed=0):
@@ -671,6 +728,11 @@ class DriftSpec:
         return series
 
 
+def _kept(rng, pulses, drift_spec, out=None):
+    """Keep decisions of events at pulse indices `pulses`, from rng's next draws."""
+    return np.less(rng.random(pulses.size), drift_spec.modulation(pulses), out=out)
+
+
 def efficiency_drift_model(clicks, drift_spec):
     """Thin a click record by a slowly varying per-trial efficiency.
 
@@ -683,9 +745,8 @@ def efficiency_drift_model(clicks, drift_spec):
     keep = np.empty(times.size, dtype=bool)
     blocks = range(0, times.size, _CLICK_BLOCK)
     for lo in blocks:
-        block = times[lo:lo + _CLICK_BLOCK]
-        probability = drift_spec.modulation(_pulse_index(block, clicks.repetition_period))
-        np.less(rng.random(block.size), probability, out=keep[lo:lo + _CLICK_BLOCK])
+        _kept(rng, _pulse_index(times[lo:lo + _CLICK_BLOCK], clicks.repetition_period),
+              drift_spec, out=keep[lo:lo + _CLICK_BLOCK])
     kept_times = np.empty(np.count_nonzero(keep))
     kept_detectors = np.empty(kept_times.size, dtype=detectors.dtype)
     at = 0
@@ -725,15 +786,34 @@ def simulate_hbt_run(config, trials, seed, n_emitters=3,
                      max_delay=60):
     """Counts -> clicks -> (optional drift) -> g2 for an emitter-model run.
 
+    Returns, byte for byte, hbt_g2 of generate_click_stream(config, counts,
+    seed), thinned by efficiency_drift_model(..., drift) unless drift is
+    None, where counts = emitter_photon_counts(n_emitters, detection_prob,
+    trials, seed).  No click record is built: the counts are narrowed to the
+    smallest dtype that holds n_emitters, and the click stream is consumed
+    _CLICK_BLOCK trials at a time.  Each block's events are placed, thinned
+    by the drift stream's next draws and binned into the correlator, so the
+    run holds only the counts and the click stream's draws (see _ClickDraws).
     The trial count and delay range are checked before anything is drawn.
     """
     _check_trials(trials)
     _check_delays(max_delay, trials)
-    clicks = generate_click_stream(
-        config, emitter_photon_counts(n_emitters, detection_prob, trials, seed), seed)
-    if drift is not None:
-        clicks = efficiency_drift_model(clicks, drift)
-    return hbt_g2(clicks, max_delay=max_delay)
+    draws = _ClickDraws(config, emitter_photon_counts(n_emitters, detection_prob, trials, seed)
+                        .astype(np.min_scalar_type(n_emitters)), seed)
+    thinning = None if drift is None else philox_stream(drift.rng_seed, _STAGE_DRIFT)
+    correlator = _PulseCorrelator(int(max_delay), int(trials))
+    events = 0
+    for b in range(len(draws.blocks)):
+        _, times, codes = draws.place(b)
+        pulses = _pulse_index(times, config.repetition_period)
+        if thinning is not None:
+            kept = _kept(thinning, pulses, drift)
+            pulses, codes = pulses[kept], codes[kept]
+        events += pulses.size
+        correlator.add(pulses, codes)
+    if events < 2:
+        raise ValueError("need at least two events to correlate")
+    return correlator.result(config.repetition_period)
 
 
 # --------------------------------------------------------------------------

@@ -21,15 +21,22 @@ MAX_STAGE = 1 << 16
 MAX_INDEX = 1 << 48
 
 
+def _check_label(name, value, bound=1 << 64):
+    """Raises unless value is an integer in [0, bound), naming it `name`.
+
+    The default bound is that of a master seed.
+    """
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if not 0 <= value < bound:
+        raise ValueError(f"{name} must be in [0, {bound}), got {value}")
+
+
 def _key(master_seed, stage, index):
     """The two 64-bit Philox key words of a checked stream label."""
-    for name, value, bound in (("master_seed", master_seed, 1 << 64),
-                               ("stage", stage, MAX_STAGE),
-                               ("index", index, MAX_INDEX)):
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-        if not 0 <= value < bound:
-            raise ValueError(f"{name} must be in [0, {bound}), got {value}")
+    _check_label("master_seed", master_seed)
+    _check_label("stage", stage, MAX_STAGE)
+    _check_label("index", index, MAX_INDEX)
     return int(master_seed), (int(stage) << 48) | int(index)
 
 

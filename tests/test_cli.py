@@ -326,6 +326,22 @@ class TestFitCommand:
         assert payload["parameters"]["fwhm"] == pytest.approx(1.34, abs=0.1)
         assert payload["uncertainties"]["fwhm"] > 0
 
+    def test_parameter_held_at_a_bound_writes_a_null_uncertainty(self, tmp_path):
+        # a Lorentzian 100 times wider than the spec allows holds fwhm at its bound
+        x = np.linspace(-3, 3, 15)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.c_[x, lorentzian(x, 1.0, 0.2, 600.0, 0.05), np.full(x.size, 0.01)],
+                   delimiter=",", header="freq_mhz,rate,rate_err", comments="")
+        assert run_cli("fit", "--model", "lorentzian", "--input", path,
+                       "--output-dir", tmp_path) == 0
+        text = (tmp_path / "fit.json").read_text()
+        payload = json.loads(text, parse_constant=pytest.fail)
+        assert payload["parameters"]["fwhm"] == 60.0
+        assert payload["uncertainties"]["fwhm"] is None
+        assert '"fwhm": null' in text
+        assert all(payload["uncertainties"][name] > 0
+                   for name in ("amplitude", "center", "offset"))
+
     def test_rabi_scan_csv_with_a_zero_count_point_fits(self, tmp_path):
         # 500 trials of 3-polariton registers at seed 1 leave several drives
         # with no count in any trial; their error is the floor 1/trials, not

@@ -390,6 +390,43 @@ class TestFitEngine:
         assert result.as_dict()["fwhm"] == spec.upper[2]
         assert result.gradient_norm < 1e-8 * (1.0 + result.chi2)
 
+    def test_parameter_held_at_a_bound_has_no_uncertainty(self):
+        # the fit above: fwhm is held at its upper bound, and the data do not
+        # determine it there
+        x = np.linspace(-3, 3, 15)
+        y = lorentzian(x, 1.0, 0.2, 600.0, 0.05)
+        sigma = np.full(x.size, 0.01)
+        spec = lorentzian_spec(x, y)
+        result = fit(spec, x, y, sigma)
+        assert result.as_dict()["fwhm"] == spec.upper[2]
+        assert np.isnan(result.uncertainties[2])
+        assert result.uncertainty_dict()["fwhm"] is None
+        assert np.all(np.isnan(result.covariance[2])) and np.all(np.isnan(result.covariance[:, 2]))
+        # the free parameters' covariance is the inverse curvature of their own columns
+        free = [0, 1, 3]
+        jac = spec.jacobian(x, result.parameters)[:, free] / sigma[:, None]
+        expected = np.linalg.inv(jac.T @ jac)
+        assert np.allclose(result.covariance[np.ix_(free, free)], expected, rtol=1e-6)
+        errors = np.sqrt(np.diag(expected) * (result.chi2 / (x.size - 4)))
+        assert np.allclose(result.uncertainties[free], errors, rtol=1e-6)
+        assert [result.uncertainty_dict()[name] for name in ("amplitude", "center", "offset")] \
+            == result.uncertainties[free].tolist()
+
+    @pytest.mark.parametrize("seed", [9000, 9001, 9002, 9100, 9500])
+    def test_fit_holding_nothing_quotes_the_full_inverse_curvature(self, seed):
+        # bit for bit the covariance of every column at the optimum
+        y, sigma = synthetic_scan(seed)
+        spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)
+        result = fit(spec, SCAN_OMEGAS, y, sigma, max_iterations=400)
+        assert np.all((result.parameters > spec.lower) & (result.parameters < spec.upper))
+        jac = -spec.jacobian(SCAN_OMEGAS, result.parameters) / sigma[:, None]
+        covariance = np.linalg.pinv(jac.T @ jac, hermitian=True)
+        covariance = 0.5 * (covariance + covariance.T)
+        errors = np.sqrt(np.maximum(np.diag(covariance), 0.0)
+                         * (result.chi2 / (SCAN_OMEGAS.size - 5)))
+        assert result.covariance.tobytes() == covariance.tobytes()
+        assert result.uncertainties.tobytes() == errors.tobytes()
+
     @pytest.mark.parametrize("seed", [9000, 9001, 9002, 9100, 9500])
     def test_fit_inside_bounds_is_unchanged_by_the_projection(self, seed):
         # With no parameter at a bound, holding none is the unprojected LM:

@@ -715,9 +715,11 @@ def check_pipeline_against_whole_run(config, counts, seed, max_delays=(60,)):
     return clicks
 
 
-#: Runs from a single trial to several blocks, with blocks cut one short of,
-#: and one past, a whole block.
-BLOCKED_TRIALS = [1, 2, 65_535, 65_537, 200_003]
+#: Runs from a single trial to many blocks of montecarlo._CLICK_BLOCK trials:
+#: four blocks cut one short of, and one past, a whole block, and 200,003
+#: trials, which end inside a block.
+BLOCKED_TRIALS = [1, 2, 4 * montecarlo._CLICK_BLOCK - 1, 4 * montecarlo._CLICK_BLOCK + 1,
+                  200_003]
 
 
 class TestBlockedClickPipeline:
@@ -774,6 +776,75 @@ class TestBlockedClickPipeline:
                         n_trials=times.size, repetition_period=6.0)
 
 
+def whole_run_hbt(config, trials, seed, drift, max_delay, detection_prob=0.35):
+    """simulate_hbt_run of 3 emitters through the whole-run oracles."""
+    clicks = whole_run_click_stream(
+        config, emitter_photon_counts(3, detection_prob, trials, seed), seed)
+    if drift is not None:
+        clicks = whole_run_drift(clicks, drift)
+    return whole_run_g2(clicks, max_delay)
+
+
+def check_streamed_run(config, trials, seed, drifted, max_delay, detection_prob=0.35):
+    """simulate_hbt_run equals the whole-run oracles byte for byte."""
+    drift = DriftSpec(amplitude=0.5, rng_seed=seed) if drifted else None
+    result = simulate_hbt_run(config, trials, seed, detection_prob=detection_prob,
+                              drift=drift, max_delay=max_delay)
+    assert g2_bytes(result) == g2_bytes(
+        whole_run_hbt(config, trials, seed, drift, max_delay, detection_prob))
+    return result
+
+
+class TestStreamedHbtRun:
+    @pytest.mark.parametrize("max_delay", [60, 5000])
+    @pytest.mark.parametrize("drifted", [False, True], ids=["steady", "drifted"])
+    @pytest.mark.parametrize("trials", BLOCKED_TRIALS)
+    def test_matches_whole_run(self, trials, drifted, max_delay):
+        busy = replace(CFG, background_rate=0.2)
+        if max_delay >= trials:
+            with pytest.raises(ValueError, match="exceeds the number of trials"):
+                simulate_hbt_run(busy, trials, trials, max_delay=max_delay)
+        else:
+            check_streamed_run(busy, trials, trials, drifted, max_delay)
+
+    @pytest.mark.parametrize("max_delay", [60, 5000])
+    @pytest.mark.parametrize("drifted", [False, True], ids=["steady", "drifted"])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_size_does_not_change_the_output(self, monkeypatch, block, drifted,
+                                                   max_delay):
+        # 5101 trials cut the last block of 3 and of 64 short, and at
+        # max_delay 5000 fill the correlator's buffer once and part of it again
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        check_streamed_run(replace(CFG, background_rate=0.2), 5101, 13, drifted, max_delay)
+
+    @pytest.mark.parametrize("drifted", [False, True], ids=["steady", "drifted"])
+    @pytest.mark.parametrize("block", [3, 64, 65_536])
+    def test_background_only_run(self, monkeypatch, block, drifted):
+        # about one event in ten pulses, so some gaps between events exceed max_delay
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        check_streamed_run(replace(CFG, background_rate=0.2), 30_011, 5, drifted, 60,
+                           detection_prob=0.0)
+
+    def test_fewer_than_two_events_are_refused(self):
+        with pytest.raises(ValueError, match="two events"):
+            simulate_hbt_run(NO_BACKGROUND, 1000, 1, detection_prob=0.0)
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 65_536])
+    def test_sparse_record_with_long_gaps(self, monkeypatch, block):
+        # gaps shorter than, equal to and longer than max_delay, and events
+        # of one pulse split over event blocks
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        pulses = np.array([0, 0, 0, 1, 3, 20, 63, 64, 64, 130, 131, 5000, 5059, 5060,
+                           5120, 70_000, 70_000, 70_001, 70_040, 70_063, 70_130, 99_999])
+        times = pulses * CFG.repetition_period + 1.25
+        detectors = np.where(np.arange(pulses.size) % 3 == 1, "B", "A")
+        assert np.any(np.abs(np.subtract.outer(pulses[detectors == "A"],
+                                               pulses[detectors == "B"])) == 40)
+        clicks = ClickRecord(times=times, detectors=detectors, n_trials=100_000,
+                             repetition_period=CFG.repetition_period)
+        assert g2_bytes(hbt_g2(clicks)) == g2_bytes(whole_run_g2(clicks, 60))
+
+
 #: Trials of the memory-bound runs, read _CLICK_BLOCK = 1024 events or trials at a time.
 MEMORY_TRIALS = 200_000
 
@@ -814,11 +885,24 @@ class TestClickPipelineMemory:
         assert record.times is times
         assert peak < 2 ** 18
 
-    def test_g2_holds_eight_bytes_per_trial(self):
+    def test_g2_holds_no_array_as_long_as_the_run(self):
+        # the per-pulse counts span a few correlation windows, not the run
         clicks = generate_click_stream(CFG, emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4), 4)
         result, peak = traced_peak(hbt_g2, clicks)
         assert result.g2.size == 121
-        assert peak <= 12 * MEMORY_TRIALS + 2 ** 20
+        assert peak <= 2 ** 20
+
+    @pytest.mark.parametrize("drifted", [False, True], ids=["steady", "drifted"])
+    def test_streamed_run_holds_no_click_record(self, drifted):
+        # the narrowed counts (1 B per trial), the signal offsets (8 B per
+        # signal event) and the detector codes (4 B per event) are the only
+        # arrays as long as the run
+        drift = DriftSpec(amplitude=0.4) if drifted else None
+        result, peak = traced_peak(partial(simulate_hbt_run, CFG, MEMORY_TRIALS, 4, drift=drift))
+        events = generate_click_stream(
+            CFG, emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4), 4).times.size
+        assert result.g2.size == 121
+        assert peak <= 20 * events + 2 ** 20
 
 
 class TestBackgroundCorrection:
@@ -874,6 +958,16 @@ class TestDrift:
             DriftSpec(amplitude=1.0)
         with pytest.raises(ValueError):
             DriftSpec(amplitude=-0.1)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError),
+                                             (2 ** 64, ValueError)])
+    def test_rng_seed_checked_at_construction(self, seed, error):
+        # refused under its own name before any click is drawn
+        with pytest.raises(error, match="^rng_seed must be"):
+            DriftSpec(amplitude=0.2, rng_seed=seed)
+        with pytest.raises(error, match="^rng_seed must be"):
+            DriftSpec.from_relative_std(0.3, rng_seed=seed)
+        assert DriftSpec(amplitude=0.2, rng_seed=2 ** 64 - 1).rng_seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize("relative_std", [0.8, math.sqrt(0.5), math.inf])
     def test_relative_std_beyond_a_sinusoid_rejected(self, relative_std):
