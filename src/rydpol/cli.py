@@ -174,6 +174,10 @@ def _cmd_rabi_scan(args):
     config = _resolve_config(args)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    # checked before linspace, which warns on an infinite end point
+    for flag, value in (("--omega-min", args.omega_min), ("--omega-max", args.omega_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.points)
     scan = simulate_rabi_scan(
         config, RB60_PAIR, omegas, args.pulse_ns * 1e-3, trials=args.trials,

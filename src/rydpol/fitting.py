@@ -173,18 +173,21 @@ def lorentzian_spec(x, y):
     """Lorentzian ModelSpec with moment-based initial values from (x, y).
 
     Offset from the lower quartile of the data, amplitude from the peak
-    above it, center at the peak abscissa, and width from the number of
-    samples above half maximum.
+    above it, center at the peak abscissa, and width from the distinct x
+    values with a sample above half maximum, times their median spacing.
     """
     x, y = _validated_xy(x, y)
+    distinct = np.unique(x)
+    if distinct.size < 2:
+        raise ValueError(f"x must hold at least 2 distinct values, got {distinct.size}")
     offset0 = float(np.quantile(y, 0.25))
     amplitude0 = float(y.max() - offset0)
     if amplitude0 <= 0:
         amplitude0 = max(float(np.ptp(y)), 1e-12)
     center0 = float(x[np.argmax(y)])
     span = float(x.max() - x.min())
-    spacing = float(np.median(np.diff(np.sort(x))))
-    above_half = int(np.count_nonzero(y > offset0 + 0.5 * amplitude0))
+    spacing = float(np.median(np.diff(distinct)))
+    above_half = np.unique(x[y > offset0 + 0.5 * amplitude0]).size
     fwhm0 = min(max(above_half * spacing, 2.0 * spacing), span)
     return ModelSpec(
         parameter_names=("amplitude", "center", "fwhm", "offset"),

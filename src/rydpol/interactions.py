@@ -140,19 +140,20 @@ class SiteHamiltonian:
 def _embed(op, sites, n_sites):
     """Nonzero entries of a one- or two-site operator lifted to n_sites sites.
 
-    `op` is 4x4 on sites[0], or 16x16 on sites[0] tensor sites[1].  Returns
-    (rows, cols, values): each nonzero op entry once per basis state of the
-    other sites, found by digit arithmetic, and no (row, col) twice.  So
-    `matrix[rows, cols] += scale * values` adds scale * op, lifted, with no
-    dense temporary.
+    `op` is d x d on sites[0], or d^2 x d^2 on sites[0] tensor sites[1], for
+    d levels per site.  Returns (rows, cols, values) in the d^n basis: each
+    nonzero op entry once per basis state of the other sites, found by digit
+    arithmetic, and no (row, col) twice.  So `matrix[rows, cols] += scale *
+    values` adds scale * op, lifted, with no dense temporary.
     """
-    idx = np.arange(4 ** n_sites)
-    strides = [4 ** (n_sites - 1 - site) for site in sites]
-    digits = [(idx // stride) % 4 for stride in strides]
+    levels = round(op.shape[0] ** (1 / len(sites)))
+    idx = np.arange(levels ** n_sites)
+    strides = [levels ** (n_sites - 1 - site) for site in sites]
+    digits = [(idx // stride) % levels for stride in strides]
     rows, cols, values = [], [], []
     for row, col in zip(*np.nonzero(op)):
-        kets = np.unravel_index(row, (4,) * len(sites))
-        bras = np.unravel_index(col, (4,) * len(sites))
+        kets = np.unravel_index(row, (levels,) * len(sites))
+        bras = np.unravel_index(col, (levels,) * len(sites))
         match = functools.reduce(np.logical_and,
                                  [digit == bra for digit, bra in zip(digits, bras)])
         columns = idx[match]
@@ -162,6 +163,84 @@ def _embed(op, sites, n_sites):
         cols.append(columns)
         values.append(np.full(columns.size, op[row, col]))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+@functools.cache
+def _tables(n_sites, pi_sector):
+    """Read-only flat tables of the drive + exchange Hamiltonian of n_sites sites.
+
+    The pi sector lifts MU_Z and _EXCHANGE_BRACKET restricted to the levels
+    {s, p0} of each site, the 4^n model lifts them whole.  Returns (pairs,
+    drive, exchange, weights, pair_of_entry): the site pairs i < j as a (p, 2)
+    array, the flat indices (row * dim + column) of the drive entries (each 1
+    in MU_Z) and of the exchange entries, their bracket weights, and each
+    exchange entry's pair; no index appears twice.  dim <= MAX_DIMENSION
+    bounds the cache at 18 entries (n <= 6 on 4^n, n <= 12 on the pi sector).
+    """
+    keep = np.array([_S, _P0] if pi_sector else range(4))
+    pair_keep = (4 * keep[:, None] + keep).ravel()
+    dim = keep.size ** n_sites
+    pairs = np.array(list(itertools.combinations(range(n_sites), 2)), dtype=np.intp).reshape(-1, 2)
+    drive = [rows * dim + cols for rows, cols, _ in
+             (_embed(MU_Z[np.ix_(keep, keep)], (site,), n_sites) for site in range(n_sites))]
+    bracket = _EXCHANGE_BRACKET[np.ix_(pair_keep, pair_keep)]
+    exchange, weights, pair_of_entry = ([np.empty(0, dtype)] for dtype in (np.intp, float, np.intp))
+    for pair, sites in enumerate(pairs):
+        rows, cols, values = _embed(bracket, sites, n_sites)
+        exchange.append(rows * dim + cols)
+        weights.append(values)
+        pair_of_entry.append(np.full(rows.size, pair))
+    tables = (pairs, np.concatenate(drive), np.concatenate(exchange),
+              np.concatenate(weights), np.concatenate(pair_of_entry))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _distances(diffs):
+    """Euclidean norms over the last axis of `diffs`, for any leading shape.
+
+    matmul reduces each vector with the BLAS dot that np.linalg.norm uses for
+    one vector, so every entry equals float(np.linalg.norm(d)) bit for bit;
+    a sum of squares over the axis rounds differently.
+    """
+    return np.sqrt(diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0]
+
+
+def _assemble(positions, omega_mu, c3, n_sites, pi_sector):
+    """Checked dense drive + exchange matrix of n_sites sites, from _tables.
+
+    Writes Omega_mu / 2 at the drive entries and adds weight * V_ij at the
+    exchange entries of pair (i, j), V_ij = c3 * 1e3 / R_ij^3 in MHz.  Both
+    builders share its checks, distance rule and dimension cap.
+    """
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    if n_sites < 1 or positions.shape != (n_sites, 3):
+        raise ValueError(f"positions must have shape ({n_sites}, 3), n >= 1, got {positions.shape}")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions must be finite")
+    if not (math.isfinite(omega_mu) and omega_mu >= 0):
+        raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
+    if not math.isfinite(c3):
+        raise ValueError(f"c3 must be finite, got {c3!r}")
+    dim = (2 if pi_sector else 4) ** n_sites
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"dimension {dim} exceeds the dense-solver cap {MAX_DIMENSION}")
+
+    pairs, drive, exchange, weights, pair_of_entry = _tables(n_sites, pi_sector)
+    distances = _distances(positions[pairs[:, 0]] - positions[pairs[:, 1]])
+    coincident = np.flatnonzero(distances <= 0.0)
+    if coincident.size:
+        i, j = pairs[coincident[0]]
+        raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
+    # Python floats: numpy's vectorized power may round r^3 differently
+    couplings = np.array([c3 * 1e3 / r_ij ** 3 for r_ij in distances.tolist()])
+    matrix = np.zeros(dim * dim)
+    matrix[drive] = 0.5 * omega_mu
+    values = couplings[pair_of_entry]
+    values *= weights
+    matrix[exchange] += values
+    return matrix.reshape(dim, dim)
 
 
 def build_hamiltonian(basis, positions, omega_mu, c3):
@@ -180,71 +259,9 @@ def build_hamiltonian(basis, positions, omega_mu, c3):
     Omega_mu = 0 gives the exchange alone and c3 = 0 the drive alone.  A
     drive entry changes one site's level and an exchange entry two, so no
     entry gets both, and the matrix is exactly the sum of those two builds.
+    Refuses 4^n > MAX_DIMENSION (n > 6) before it allocates.
     """
-    if not (math.isfinite(omega_mu) and omega_mu >= 0.0):
-        raise ValueError(f"omega_mu must be finite and >= 0, got {omega_mu!r}")
-    if not math.isfinite(c3):
-        raise ValueError(f"c3 must be finite, got {c3!r}")
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    if positions.shape != (basis.n_sites, 3):
-        raise ValueError(
-            f"positions must have shape ({basis.n_sites}, 3), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("positions must be finite")
-
-    matrix = np.zeros((basis.dim, basis.dim))
-    for site in range(basis.n_sites):
-        rows, cols, values = _embed(MU_Z, (site,), basis.n_sites)
-        matrix[rows, cols] += 0.5 * omega_mu * values
-    for i, j in itertools.combinations(range(basis.n_sites), 2):
-        r_ij = float(np.linalg.norm(positions[i] - positions[j]))
-        if r_ij <= 0.0:
-            raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
-        v_ij = c3 * 1e3 / r_ij ** 3
-        rows, cols, values = _embed(_EXCHANGE_BRACKET, (i, j), basis.n_sites)
-        matrix[rows, cols] += v_ij * values
-    return SiteHamiltonian(matrix=matrix)
-
-
-def _distances(diffs):
-    """Euclidean norms over the last axis of `diffs`, for any leading shape.
-
-    matmul reduces each vector with the BLAS dot that np.linalg.norm uses for
-    one vector, so every entry equals float(np.linalg.norm(d)) bit for bit;
-    a sum of squares over the axis rounds differently.
-    """
-    return np.sqrt(diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0]
-
-
-@functools.cache
-def _pi_sector_tables(n_sites):
-    """Index tables of the pi-sector Hamiltonian of n_sites sites, read-only.
-
-    Returns (pairs, drive, exchange, pair_of_entry): every site pair i < j
-    as a (p, 2) array, the flat indices (row * dim + column) of the drive
-    entries, those of the exchange entries, and the pair each exchange entry
-    belongs to.  Every off-diagonal entry belongs to at most one of them.
-    Only index arrays are kept; callers are validated to 2^n <= MAX_DIMENSION,
-    which bounds the cache at 12 sizes.
-    """
-    dim = 2 ** n_sites
-    idx = np.arange(dim)
-    bits = 1 << (n_sites - 1 - np.arange(n_sites))
-    drive = ((idx ^ bits[:, None]) * dim + idx).ravel()
-    pairs = np.array(list(itertools.combinations(range(n_sites), 2)),
-                     dtype=np.intp).reshape(-1, 2)
-    exchange, pair_of_entry = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for pair, (i, j) in enumerate(pairs):
-        # flip-flop |s p0> <-> |p0 s> from the pi channel; sigma channels act
-        # only on p+/p- and vanish on this subspace
-        sp = idx[(idx & bits[i] == 0) & (idx & bits[j] != 0)]
-        ps = sp ^ bits[i] ^ bits[j]
-        exchange += [ps * dim + sp, sp * dim + ps]
-        pair_of_entry.append(np.full(2 * sp.size, pair))
-    tables = (pairs, drive, np.concatenate(exchange), np.concatenate(pair_of_entry))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return SiteHamiltonian(matrix=_assemble(positions, omega_mu, c3, basis.n_sites, False))
 
 
 def _pi_sector_drive(n_sites):
@@ -255,7 +272,7 @@ def _pi_sector_drive(n_sites):
     """
     dim = 2 ** n_sites
     matrix = np.zeros(dim * dim)
-    matrix[_pi_sector_tables(n_sites)[1]] = 0.5
+    matrix[_tables(n_sites, True)[1]] = 0.5
     return matrix.reshape(dim, dim)
 
 
@@ -266,37 +283,12 @@ def build_pi_sector_hamiltonian(positions, omega_mu, c3):
     amplitude and the sigma channels only move existing p+/p- excitations, so
     the joint state never leaves the 2^n-dimensional {s, p0} subspace.  This
     returns a new dense 2^n x 2^n matrix in the site-major basis with per-site
-    digits s=0, p0=1; index 0 is the all-s state.  Spectra and overlaps agree
-    exactly with the full 4^n builder on this subspace, at a fraction of the
-    cost for Monte Carlo work.  The global flip P = prod_i X_i (index k ->
-    2^n - 1 - k) commutes with this matrix, which eigenspectrum exploits.
+    digits s=0, p0=1; index 0 is the all-s state.  It is the 4^n builder's
+    matrix restricted to the {s, p0}^n states, bit for bit, for n <= 12
+    sites.  The global flip P = prod_i X_i (index k -> 2^n - 1 - k) commutes
+    with this matrix, which eigenspectrum exploits.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    n_sites = positions.shape[0]
-    if positions.shape != (n_sites, 3) or n_sites < 1:
-        raise ValueError(f"positions must have shape (n, 3), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("positions must be finite")
-    if not (math.isfinite(omega_mu) and omega_mu >= 0):
-        raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
-    if not math.isfinite(c3):
-        raise ValueError(f"c3 must be finite, got {c3!r}")
-    dim = 2 ** n_sites
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"dimension {dim} exceeds the dense-solver cap {MAX_DIMENSION}")
-
-    pairs, drive, exchange, pair_of_entry = _pi_sector_tables(n_sites)
-    distances = _distances(positions[pairs[:, 0]] - positions[pairs[:, 1]])
-    coincident = np.flatnonzero(distances <= 0.0)
-    if coincident.size:
-        i, j = pairs[coincident[0]]
-        raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
-    # Python floats: numpy's vectorized power may round r^3 differently
-    couplings = np.array([_ZZ_WEIGHT * c3 * 1e3 / r_ij ** 3 for r_ij in distances.tolist()])
-    matrix = np.zeros(dim * dim)
-    matrix[drive] = omega_mu * 0.5
-    matrix[exchange] += couplings[pair_of_entry]
-    return matrix.reshape(dim, dim)
+    return _assemble(positions, omega_mu, c3, len(np.atleast_2d(positions)), True)
 
 
 # --------------------------------------------------------------------------
@@ -441,8 +433,8 @@ def pair_eigenscan(omega_mu, c3, r_min, r_max, steps):
 
     if not (isinstance(steps, int) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    if not 0.0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got ({r_min!r}, {r_max!r})")
+    if not (0.0 < r_min < r_max and math.isfinite(r_max)):
+        raise ValueError(f"need finite 0 < r_min < r_max, got ({r_min!r}, {r_max!r})")
     basis = SiteBasis(2)
     radii = np.linspace(r_min, r_max, steps)
 
@@ -494,8 +486,8 @@ def time_evolve(h, psi0, t):
 
     H must be real symmetric, as in eigenspectrum; psi0 may be complex.
     """
-    if np.ndim(t) != 0:
-        raise ValueError(f"t must be a scalar, got shape {np.shape(t)}")
+    if np.ndim(t) != 0 or not math.isfinite(t):
+        raise ValueError(f"t must be a finite scalar, got {t!r}")
     matrix = _as_matrix(h)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (matrix.shape[0],):

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,22 @@ class TestExitCodes:
             f"rydpol: error: --theta-max must be finite, got {value}")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (("rabi-scan", "--omega-max", "inf"), "--omega-max must be finite, got inf"),
+        (("rabi-scan", "--omega-min", "nan"), "--omega-min must be finite, got nan"),
+        (("eigenscan", "--omega-mu", 5, "--r-max", "inf"),
+         "need finite 0 < r_min < r_max, got (4.0, inf)"),
+    ], ids=["omega-max", "omega-min", "r-max"])
+    def test_non_finite_range_flag_is_computation_error(self, tmp_path, capsys, argv, message):
+        # refused before linspace, which would warn on an infinite end point
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv, "--output-dir", tmp_path)
+        assert code == 1 and not caught
+        err = capsys.readouterr().err
+        assert err.startswith(f"rydpol: error: {message}") and "Warning" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_success_returns_zero(self, tmp_path):
         assert run_cli("radius", "--output-dir", tmp_path) == 0
 
@@ -325,6 +342,19 @@ class TestFitCommand:
         assert payload["status"] == "converged"
         assert payload["parameters"]["fwhm"] == pytest.approx(1.34, abs=0.1)
         assert payload["uncertainties"]["fwhm"] > 0
+
+    def test_lorentzian_fit_of_a_scan_that_repeats_every_x(self, tmp_path):
+        # 21 drives each measured twice: the spacing of distinct x seeds the width
+        x = np.repeat(np.linspace(-3.0, 5.0, 21), 2)
+        path = tmp_path / "repeated.csv"
+        np.savetxt(path, np.c_[x, lorentzian(x, 1.0, 0.3, 2.0, 0.1), np.full(x.size, 0.01)],
+                   delimiter=",", header="freq_mhz,rate,rate_err", comments="")
+        assert run_cli("fit", "--model", "lorentzian", "--input", path,
+                       "--output-dir", tmp_path) == 0
+        payload = read_json(tmp_path / "fit.json")
+        assert payload["status"] == "converged"
+        fitted = [payload["parameters"][name] for name in ("amplitude", "center", "fwhm", "offset")]
+        np.testing.assert_allclose(fitted, [1.0, 0.3, 2.0, 0.1], rtol=1e-6, atol=1e-8)
 
     def test_parameter_held_at_a_bound_writes_a_null_uncertainty(self, tmp_path):
         # a Lorentzian 100 times wider than the spec allows holds fwhm at its bound

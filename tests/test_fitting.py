@@ -153,6 +153,24 @@ class TestHeuristicInitializers:
         assert 0.5 * 1.34 < init["fwhm"] < 2.0 * 1.34
         assert 0.5 < init["amplitude"] < 1.5
 
+    def test_lorentzian_scan_that_repeats_every_x(self):
+        # a median spacing over repeated x would be 0 and seed a zero width
+        x = np.repeat(np.linspace(-3.0, 5.0, 21), 2)
+        y = lorentzian(x, 1.0, 0.3, 2.0, 0.1)
+        spec = lorentzian_spec(x, y)
+        distinct = lorentzian_spec(x[::2], y[::2])
+        assert np.array_equal(spec.initial, distinct.initial)
+        assert np.array_equal(spec.lower, distinct.lower)
+        result = fit(spec, x, y, np.full(x.size, 0.01))
+        assert result.status == "converged"
+        np.testing.assert_allclose(result.parameters, [1.0, 0.3, 2.0, 0.1],
+                                   rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [2.5, 2.5]])
+    def test_lorentzian_needs_two_distinct_x(self, x):
+        with pytest.raises(ValueError, match="at least 2 distinct values, got 1"):
+            lorentzian_spec(x, np.arange(len(x), dtype=float))
+
     def test_rabi_fft_finds_revival_period(self):
         y, _ = synthetic_scan(301)
         spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)

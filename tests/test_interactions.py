@@ -13,6 +13,7 @@ Independent oracles used here:
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -34,7 +35,7 @@ from rydpol.interactions import (
     _check_hermitian,
     _embed,
     _pi_sector_drive,
-    _pi_sector_tables,
+    _tables,
     build_hamiltonian,
     build_pi_sector_hamiltonian,
     count_branch_crossings,
@@ -173,23 +174,23 @@ class TestEmbed:
     """_embed against the kron-chain oracle, one entry of the operator at a time."""
 
     @staticmethod
-    def oracle(op, sites, n_sites):
-        out = np.zeros((4 ** n_sites, 4 ** n_sites))
+    def oracle(op, sites, n_sites, levels=4):
+        out = np.zeros((levels ** n_sites, levels ** n_sites))
         for row, col in zip(*np.nonzero(op)):
-            factors = [np.eye(4)] * n_sites
-            kets = np.unravel_index(row, (4,) * len(sites))
-            bras = np.unravel_index(col, (4,) * len(sites))
+            factors = [np.eye(levels)] * n_sites
+            kets = np.unravel_index(row, (levels,) * len(sites))
+            bras = np.unravel_index(col, (levels,) * len(sites))
             for site, ket, bra in zip(sites, kets, bras):
-                factors[site] = np.zeros((4, 4))
+                factors[site] = np.zeros((levels, levels))
                 factors[site][ket, bra] = 1.0
             out += op[row, col] * kron_embed(factors)
         return out
 
     @staticmethod
-    def lifted(op, sites, n_sites):
+    def lifted(op, sites, n_sites, levels=4):
         rows, cols, values = _embed(op, sites, n_sites)
         assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
-        out = np.zeros((4 ** n_sites, 4 ** n_sites))
+        out = np.zeros((levels ** n_sites, levels ** n_sites))
         out[rows, cols] += values
         return out
 
@@ -210,6 +211,23 @@ class TestEmbed:
             for matrix in (_EXCHANGE_BRACKET, op):
                 assert np.array_equal(self.lifted(matrix, (i, j), n_sites),
                                       self.oracle(matrix, (i, j), n_sites))
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 5])
+    def test_two_level_operators(self, n_sites):
+        # the pi sector lifts 2x2 and 4x4 operators on {s, p0} per site; the
+        # level count is read from the operator's size
+        rng = np.random.default_rng(20 + n_sites)
+        keep = [LEVELS.index("s"), LEVELS.index("p0")]
+        pair_keep = [4 * a + b for a in keep for b in keep]
+        singles = (MU_Z[np.ix_(keep, keep)], rng.normal(size=(2, 2)))
+        doubles = (_EXCHANGE_BRACKET[np.ix_(pair_keep, pair_keep)],
+                   rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.5))
+        for site, op in itertools.product(range(n_sites), singles):
+            assert np.array_equal(self.lifted(op, (site,), n_sites, 2),
+                                  self.oracle(op, (site,), n_sites, 2))
+        for (i, j), op in itertools.product(itertools.permutations(range(n_sites), 2), doubles):
+            assert np.array_equal(self.lifted(op, (i, j), n_sites, 2),
+                                  self.oracle(op, (i, j), n_sites, 2))
 
 
 class TestDriveHamiltonian:
@@ -440,6 +458,14 @@ class TestTimeEvolve:
         with pytest.raises(ValueError, match="scalar"):
             time_evolve(h, np.array([1.0, 0, 0, 0]), np.linspace(0.0, 0.2, 7))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        h = build_hamiltonian(SiteBasis(1), line(1), 10.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be a finite scalar"):
+                time_evolve(h, np.array([1.0, 0, 0, 0]), bad)
+
     @given(omega=st.floats(0.5, 200), t=st.floats(0, 2.0), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
     def test_norm_and_energy_conserved(self, omega, t, seed):
@@ -555,10 +581,33 @@ class TestPiSectorReduction:
             split = omega * _pi_sector_drive(n) + build_pi_sector_hamiltonian(pos, 0.0, C3)
             assert np.array_equal(split, build_pi_sector_hamiltonian(pos, omega, C3))
 
+    @given(st.integers(1, 6), st.integers(0, 2 ** 31 - 1),
+           st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+           st.sampled_from([C3, 0.0, 3.7]))
+    @settings(max_examples=40, deadline=None)
+    def test_restriction_of_full_builder_bit_for_bit(self, n, seed, omega, c3):
+        pos = random_register(n, seed)
+        lift = [self.embed_index(b, n) for b in range(2 ** n)]
+        full = build_hamiltonian(SiteBasis(n), pos, omega, c3).matrix
+        reduced = build_pi_sector_hamiltonian(pos, omega, c3)
+        assert reduced.tobytes() == full[np.ix_(lift, lift)].tobytes()
+
     def test_dimension_cap(self):
         pos = np.column_stack([np.zeros(13), np.zeros(13), np.arange(13) * 8.0])
         with pytest.raises(ValueError):
             build_pi_sector_hamiltonian(pos, 10.0, C3)
+
+    def test_full_builder_refuses_past_the_cap_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(interactions, "MAX_DIMENSION", 64)
+        assert build_hamiltonian(SiteBasis(3), line(3), 10.0, C3).matrix.shape == (64, 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension 256 exceeds the dense-solver cap 64"):
+                build_hamiltonian(SiteBasis(4), line(4), 10.0, C3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 8 // 4
 
 
 def loop_pi_sector_hamiltonian(positions, omega_mu, c3):
@@ -620,17 +669,20 @@ class TestPiSectorTables:
         drive[...] = 7.0
         assert _pi_sector_drive(4).max() == 0.5
 
-    def test_cache_holds_read_only_index_tables_only(self):
-        for n in range(1, 11):
-            build_pi_sector_hamiltonian(random_register(n, n), 1.0, C3)
-            pairs, *flat = _pi_sector_tables(n)
+    def test_cache_holds_read_only_sparse_tables_only(self):
+        for n, pi_sector in [(n, True) for n in range(1, 11)] + [(n, False) for n in range(1, 5)]:
+            pairs, drive, exchange, weights, pair_of_entry = _tables(n, pi_sector)
             assert pairs.shape == (n * (n - 1) // 2, 2)
-            for table in (pairs, *flat):
+            for table in (pairs, drive, exchange, pair_of_entry):
                 assert np.issubdtype(table.dtype, np.integer)
+            assert weights.dtype == float and exchange.shape == weights.shape
+            dim = (2 if pi_sector else 4) ** n
+            for table in (pairs, drive, exchange, weights, pair_of_entry):
                 assert not table.flags.writeable
-            for table in flat:
-                assert table.ndim == 1 and table.size < 4 ** n
-        assert _pi_sector_tables.cache_info().currsize <= 12
+                # at most n drive entries and one entry per pair in each row
+                assert table.size <= n * n * dim
+        # the builders refuse dim > MAX_DIMENSION: n <= 12 on the pi sector, n <= 6 on 4^n
+        assert _tables.cache_info().currsize <= 18
 
     def test_first_coincident_pair_is_named(self):
         pos = random_register(4, 2)
@@ -921,6 +973,14 @@ class TestPairEigenscan:
     def test_invalid_grids_rejected(self, kwargs):
         with pytest.raises(ValueError):
             pair_eigenscan(omega_mu=10.0, c3=C3, **kwargs)
+
+    @pytest.mark.parametrize("r_min, r_max", [(4.0, math.inf), (4.0, math.nan),
+                                              (math.nan, 10.0), (-math.inf, 10.0)])
+    def test_non_finite_range_rejected_before_linspace(self, r_min, r_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need finite 0 < r_min < r_max"):
+                pair_eigenscan(omega_mu=10.0, c3=C3, r_min=r_min, r_max=r_max, steps=5)
 
 
 class TestCrossingCounter:
