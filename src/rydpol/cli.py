@@ -117,6 +117,16 @@ def _parse_state(token):
     return n, l, j
 
 
+def _pulse_us(args, config, positive=False):
+    """--pulse-ns in us, checked in ns first so that a refusal names the flag."""
+    pulse, storage = args.pulse_ns, config.storage_time * 1e3
+    # NaN fails every comparison
+    if not ((pulse > 0 if positive else pulse >= 0) and pulse <= storage):
+        raise ValueError(f"--pulse-ns must lie in the storage interval "
+                         f"{'(' if positive else '['}0, {storage:g}] ns, got {pulse:g}")
+    return pulse * 1e-3
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -180,7 +190,7 @@ def _cmd_rabi_scan(args):
             raise ValueError(f"{flag} must be finite, got {value}")
     omegas = np.linspace(args.omega_min, args.omega_max, args.points)
     scan = simulate_rabi_scan(
-        config, RB60_PAIR, omegas, args.pulse_ns * 1e-3, trials=args.trials,
+        config, RB60_PAIR, omegas, _pulse_us(args, config), trials=args.trials,
         seed=args.seed, n_polaritons=args.n_polaritons,
         geometry_samples=args.geometry_samples, threads=args.threads)
     rows = list(zip(scan.omegas, scan.mean_counts, scan.sem_counts))
@@ -247,7 +257,7 @@ def _cmd_fit(args):
     else:
         if args.pulse_ns is None:
             raise ValueError("--pulse-ns is required for the rabi_collective model")
-        spec = rabi_collective_spec(args.pulse_ns * 1e-3, x, y)
+        spec = rabi_collective_spec(_pulse_us(args, config, positive=True), x, y)
     result = fit(spec, x, y, sigma, max_iterations=args.max_iterations)
     payload = {
         "model": args.model,
@@ -267,7 +277,7 @@ def _cmd_protocol(args):
     # the count SEM needs two shots
     if args.trials < 2:
         raise ValueError(f"--trials must be >= 2, got {args.trials}")
-    counts = run_shots(config, RB60_PAIR, args.omega_mu, args.pulse_ns * 1e-3,
+    counts = run_shots(config, RB60_PAIR, args.omega_mu, _pulse_us(args, config),
                        args.trials, args.seed, threads=args.threads)
     histogram = np.bincount(counts)
     payload = {

@@ -169,6 +169,15 @@ def _validated_xy(x, y):
     return x, y
 
 
+def _validated_scan(x, y):
+    """(x, y, distinct x) of a scan that a spec can seed from: 2 or more distinct x."""
+    x, y = _validated_xy(x, y)
+    distinct = np.unique(x)
+    if distinct.size < 2:
+        raise ValueError(f"x must hold at least 2 distinct values, got {distinct.size}")
+    return x, y, distinct
+
+
 def lorentzian_spec(x, y):
     """Lorentzian ModelSpec with moment-based initial values from (x, y).
 
@@ -176,10 +185,7 @@ def lorentzian_spec(x, y):
     above it, center at the peak abscissa, and width from the distinct x
     values with a sample above half maximum, times their median spacing.
     """
-    x, y = _validated_xy(x, y)
-    distinct = np.unique(x)
-    if distinct.size < 2:
-        raise ValueError(f"x must hold at least 2 distinct values, got {distinct.size}")
+    x, y, distinct = _validated_scan(x, y)
     offset0 = float(np.quantile(y, 0.25))
     amplitude0 = float(y.max() - offset0)
     if amplitude0 <= 0:
@@ -209,7 +215,7 @@ def rabi_collective_spec(t_pulse, x, y):
     """
     if not (math.isfinite(t_pulse) and t_pulse > 0):
         raise ValueError(f"t_pulse must be a positive duration, got {t_pulse!r}")
-    x, y = _validated_xy(x, y)
+    x, y, _ = _validated_scan(x, y)
     order = np.argsort(x)
     xs, ys = x[order], y[order]
     uniform = np.linspace(xs[0], xs[-1], xs.size)

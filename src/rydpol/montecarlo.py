@@ -509,7 +509,7 @@ class G2Result:
 #: Side-peak delays, in pulses, over which hbt_g2 normalizes.
 _NORM_RANGE = (5, 50)
 
-#: Pulses per row of _cross_correlation.
+#: Pulses per row of _PulseCorrelator's buffer.
 _CORRELATION_ROW = 64
 
 
@@ -524,57 +524,32 @@ def _check_delays(max_delay, n_trials):
             f"max_delay {max_delay!r} exceeds the number of trials ({n_trials})")
 
 
-def _cross_correlation(counts, max_delay):
-    """C_k = sum_i a_i b_(i+k) for |k| <= max_delay, where (a, b) = counts, from rows of pulses.
-
-    a and b are zero-padded to rows of _CORRELATION_ROW pulses.  Summed over
-    rows r, the product A[r]^T B[r + d] of the row offset d holds at entry
-    (p, q) the pairs at delay k = d * row + q - p, so C_k adds up diagonals
-    of the ceil(max_delay / row) offsets on each side.  The counts are
-    integers and every partial sum stays below 2^53, so the sums are exact
-    in any order.
-    """
-    row = _CORRELATION_ROW
-    width = counts.shape[1]
-    rows = -(-width // row)
-    reach = -(-max_delay // row)
-    a = np.zeros((rows, row))
-    a.reshape(-1)[:width] = counts[0]
-    # rows -reach .. rows + reach - 1 of B, zero outside the counts
-    b = np.zeros((rows + 2 * reach, row))
-    b.reshape(-1)[reach * row:reach * row + width] = counts[1]
-    # diagonal q - p of each entry, shifted to [0, 2 * row - 2]
-    diagonal = (np.arange(row) - np.arange(row)[:, None] + row - 1).ravel()
-    span = reach * row + row - 1      # the largest |k| any offset reaches
-    sums = np.zeros(2 * span + 1)
-    for d in range(-reach, reach + 1):
-        product = a.T @ b[reach + d:reach + d + rows]
-        lowest = span + d * row - (row - 1)
-        sums[lowest:lowest + 2 * row - 1] += np.bincount(
-            diagonal, weights=product.ravel(), minlength=2 * row - 1)
-    return sums[span - max_delay:span + max_delay + 1]
-
-
 class _PulseCorrelator:
     """Cross-detector coincidences of events fed in time order, and their g2.
 
     add() bins events per pulse and detector, dropping those at or past
-    n_trials, into a buffer of max_delay + max(max_delay, _CLICK_BLOCK)
-    pulses whose first max_delay are the tail, pulses correlated before.
-    When an event falls past the buffer, C(buffer) - C(tail) (see
-    _cross_correlation) adds the pairs whose later pulse is new, and the
-    max_delay pulses before that event become the tail.  Every C is an
-    exact integer, so the sums equal the whole run's exactly.
+    n_trials, into a buffer of rows of _CORRELATION_ROW pulses.  Pulse p of
+    A's row r and pulse q of B's row r + d pair at delay k = d * row + q - p,
+    a diagonal of A[r]^T B[r + d], so the row offsets |d| <= reach =
+    ceil(max_delay / row) cover every |k| <= max_delay.  The buffer's first
+    reach rows are the tail, rows correlated before.  When an event falls
+    past the buffer, each row pair whose later row is new is multiplied
+    once, and the reach rows before that event's row become the tail.  The
+    counts are integers and every partial sum stays below 2^53, so the sums
+    equal the whole run's exactly.
     """
 
     def __init__(self, max_delay, n_trials):
+        row = _CORRELATION_ROW
         self.max_delay = max_delay
         self.n_trials = n_trials
-        self.counts = np.zeros((2, max_delay + max(max_delay, _CLICK_BLOCK)), dtype=np.int64)
-        self.start = -max_delay   # the pulse of column 0
-        self.used = max_delay     # columns up to the last pulse binned
-        self.sums = np.zeros(2 * max_delay + 1)
-        self.on_a = 0             # events binned per detector
+        self.reach = -(-max_delay // row)
+        rows = self.reach + max(self.reach, -(-_CLICK_BLOCK // row))
+        self.counts = np.zeros((2, rows * row))
+        self.start = -self.reach * row   # the pulse of column 0
+        self.span = self.reach * row + row - 1   # the largest |k| any offset reaches
+        self.sums = np.zeros(2 * self.span + 1)
+        self.on_a = 0                    # events binned per detector
         self.on_b = 0
 
     def add(self, pulses, codes):
@@ -598,27 +573,35 @@ class _PulseCorrelator:
             window = self.counts[:, first:first + width]
             window += np.bincount(keys[:fit] - keys[0] + width * on_b[:fit],
                                   minlength=2 * width).reshape(2, width)
-            self.used = first + width
             keys, on_b = keys[fit:], on_b[fit:]
 
     def _flush(self, upto):
-        """Correlates the new pulses; the max_delay pulses before `upto` become the tail."""
-        self.sums += _cross_correlation(self.counts[:, :self.used], self.max_delay)
-        self.sums -= _cross_correlation(self.counts[:, :self.max_delay], self.max_delay)
-        shift = upto - self.max_delay - self.start
-        kept = self.counts[:, shift:self.used].copy()
+        """Correlates the new rows; the reach rows before `upto`'s row become the tail."""
+        row, reach = _CORRELATION_ROW, self.reach
+        a, b = self.counts.reshape(2, -1, row)
+        new = a.shape[0] - reach
+        # diagonal q - p of each entry, shifted to [0, 2 * row - 2]
+        diagonal = (np.arange(row) - np.arange(row)[:, None] + row - 1).ravel()
+        for d in range(-reach, reach + 1):
+            # A's rows lo.. against B's rows lo + d..: the later row of each pair is new
+            lo = reach - max(d, 0)
+            product = a[lo:lo + new].T @ b[lo + d:lo + d + new]
+            # diagonal 0 is delay k = (d - 1) * row + 1, at sums[span + k]
+            self.sums[(reach + d) * row:(reach + d + 2) * row - 1] += np.bincount(
+                diagonal, weights=product.ravel(), minlength=2 * row - 1)
+        start = (upto // row - reach) * row
+        kept = self.counts[:, start - self.start:].copy()
         self.counts[:] = 0
         self.counts[:, :kept.shape[1]] = kept
-        self.start += shift
-        self.used = self.max_delay
+        self.start = start
 
     def result(self, period):
         """The G2Result of the events binned (see hbt_g2)."""
-        self._flush(self.start + self.used)
+        self._flush(self.start + self.counts.shape[1])
         n_trials, max_delay = self.n_trials, self.max_delay
         k_lo, k_hi = _NORM_RANGE
         ks = np.arange(-max_delay, max_delay + 1)
-        coincidences = self.sums
+        coincidences = self.sums[self.span - max_delay:self.span + max_delay + 1]
         pairs_available = (n_trials - np.abs(ks)).astype(float)
 
         rate = coincidences / pairs_available

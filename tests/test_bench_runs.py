@@ -7,6 +7,7 @@ the program.  Each run here is a short one of a copy of ``bench/`` and
 left alone.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -41,3 +42,16 @@ def test_workload_runs_correct(bench_copy, workload, trace):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] >= 1
+
+
+def test_g2_workload_normalizes_over_the_program_range(monkeypatch):
+    # the g2 workload's independent correlator keeps its own copy of the range
+    from rydpol import montecarlo
+
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+        assert workloads.G2.norm_range == montecarlo._NORM_RANGE
+    finally:
+        for name in ("workloads", "checks", "spans"):
+            sys.modules.pop(name, None)

@@ -192,6 +192,25 @@ class TestExitCodes:
         assert err.startswith(f"rydpol: error: {message}") and "Warning" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", [-1, 950, "inf", "nan"])
+    @pytest.mark.parametrize("command", [("protocol", "--trials", 10, "--threads", 1),
+                                         ("rabi-scan", "--points", 2, "--threads", 1),
+                                         ("fit", "--model", "rabi_collective")])
+    def test_pulse_outside_the_storage_interval_names_the_flag(self, tmp_path, capsys,
+                                                               command, value):
+        scan = tmp_path / "scan.csv"
+        x = np.linspace(0.5, 13.5, 20)
+        np.savetxt(scan, np.c_[x, np.cos(x), np.full(x.size, 0.1)], delimiter=",")
+        inputs = ("--input", scan) if command[0] == "fit" else ()
+        out = tmp_path / "out"
+        code = run_cli(*command, *inputs, "--pulse-ns", value, "--output-dir", out)
+        assert code == 1
+        bracket = "(" if command[0] == "fit" else "["
+        assert capsys.readouterr().err == (
+            f"rydpol: error: --pulse-ns must lie in the storage interval {bracket}0, 900] ns, "
+            f"got {value}\n")
+        assert not out.exists()
+
     def test_success_returns_zero(self, tmp_path):
         assert run_cli("radius", "--output-dir", tmp_path) == 0
 
@@ -390,6 +409,21 @@ class TestFitCommand:
                        "--output-dir", tmp_path) == 0
         payload = read_json(tmp_path / "fit.json")
         assert np.isfinite(payload["parameters"]["n"])
+
+    @pytest.mark.parametrize("model", ["lorentzian", "rabi_collective"])
+    def test_scan_at_one_x_is_refused(self, tmp_path, capsys, model):
+        path = tmp_path / "one_x.csv"
+        np.savetxt(path, np.c_[np.full(5, 2.0), np.arange(5.0), np.full(5, 0.1)],
+                   delimiter=",", header="x,y,sigma", comments="")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("fit", "--model", model, "--input", path, "--pulse-ns", 150,
+                           "--output-dir", out)
+        assert code == 1 and not caught
+        assert capsys.readouterr().err == (
+            "rydpol: error: x must hold at least 2 distinct values, got 1\n")
+        assert not out.exists()
 
     def test_rabi_collective_requires_pulse(self, tmp_path, lorentzian_csv):
         code = run_cli("fit", "--model", "rabi_collective",

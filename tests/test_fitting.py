@@ -171,6 +171,12 @@ class TestHeuristicInitializers:
         with pytest.raises(ValueError, match="at least 2 distinct values, got 1"):
             lorentzian_spec(x, np.arange(len(x), dtype=float))
 
+    @pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [2.5, 2.5]])
+    def test_rabi_collective_needs_two_distinct_x(self, x):
+        # refused before the FFT seed, whose frequency grid would divide by zero
+        with pytest.raises(ValueError, match="at least 2 distinct values, got 1"):
+            rabi_collective_spec(T_PULSE, x, np.arange(len(x), dtype=float))
+
     def test_rabi_fft_finds_revival_period(self):
         y, _ = synthetic_scan(301)
         spec = rabi_collective_spec(T_PULSE, SCAN_OMEGAS, y)

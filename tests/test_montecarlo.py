@@ -728,7 +728,8 @@ class TestBlockedClickPipeline:
     def test_matches_whole_run(self, trials, dtype):
         counts = emitter_photon_counts(3, 0.35, trials, trials).astype(dtype)
         busy = replace(CFG, background_rate=0.2)
-        clicks = check_pipeline_against_whole_run(busy, counts, 7, max_delays=(60, 5000))
+        clicks = check_pipeline_against_whole_run(busy, counts, 7,
+                                                  max_delays=(60, 64, 128, 5000))
         assert clicks.times.size > counts.sum() or trials < 10
 
     @pytest.mark.parametrize("block", [1, 3, 64])
@@ -796,7 +797,7 @@ def check_streamed_run(config, trials, seed, drifted, max_delay, detection_prob=
 
 
 class TestStreamedHbtRun:
-    @pytest.mark.parametrize("max_delay", [60, 5000])
+    @pytest.mark.parametrize("max_delay", [60, 64, 128, 5000])
     @pytest.mark.parametrize("drifted", [False, True], ids=["steady", "drifted"])
     @pytest.mark.parametrize("trials", BLOCKED_TRIALS)
     def test_matches_whole_run(self, trials, drifted, max_delay):
@@ -831,18 +832,23 @@ class TestStreamedHbtRun:
 
     @pytest.mark.parametrize("block", [1, 3, 64, 65_536])
     def test_sparse_record_with_long_gaps(self, monkeypatch, block):
-        # gaps shorter than, equal to and longer than max_delay, and events
-        # of one pulse split over event blocks
+        # gaps shorter than, equal to and longer than max_delay, on and around
+        # the correlator's rows of 64 pulses (max_delay 60 and 64 reach one
+        # row, 65 and 128 two), and events of one pulse split over event blocks
         monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
-        pulses = np.array([0, 0, 0, 1, 3, 20, 63, 64, 64, 130, 131, 5000, 5059, 5060,
-                           5120, 70_000, 70_000, 70_001, 70_040, 70_063, 70_130, 99_999])
+        pulses = np.array([0, 0, 0, 1, 3, 20, 63, 64, 64, 130, 131, 191, 256, 320, 448,
+                           5000, 5059, 5060, 5120, 5184, 5249, 5377, 70_000, 70_000,
+                           70_001, 70_040, 70_063, 70_130, 99_999])
         times = pulses * CFG.repetition_period + 1.25
         detectors = np.where(np.arange(pulses.size) % 3 == 1, "B", "A")
-        assert np.any(np.abs(np.subtract.outer(pulses[detectors == "A"],
-                                               pulses[detectors == "B"])) == 40)
+        gaps = np.abs(np.subtract.outer(pulses[detectors == "A"], pulses[detectors == "B"]))
+        assert {40, 63, 64, 65, 127, 128, 129} <= set(gaps.ravel().tolist())
         clicks = ClickRecord(times=times, detectors=detectors, n_trials=100_000,
                              repetition_period=CFG.repetition_period)
         assert g2_bytes(hbt_g2(clicks)) == g2_bytes(whole_run_g2(clicks, 60))
+        for max_delay in (64, 65, 128):
+            assert g2_bytes(hbt_g2(clicks, max_delay)) == g2_bytes(
+                whole_run_g2(clicks, max_delay))
 
 
 #: Trials of the memory-bound runs, read _CLICK_BLOCK = 1024 events or trials at a time.
