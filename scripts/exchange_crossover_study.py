@@ -17,7 +17,8 @@ import numpy as np
 
 from rydpol import ExperimentConfig, RB60_PAIR
 from rydpol.config import dipole_interaction, optical_blockade_radius
-from rydpol.montecarlo import _scan_geometries, _scan_return_probabilities
+from rydpol.interactions import _scan_return_probabilities
+from rydpol.montecarlo import _scan_geometries
 
 SAMPLES = 1000
 SEED = 77

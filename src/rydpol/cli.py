@@ -251,13 +251,14 @@ def _cmd_fit(args):
     config = _resolve_config(args)
     if args.max_iterations < 0:
         raise ValueError(f"--max-iterations must be >= 0, got {args.max_iterations}")
+    pulse = None if args.pulse_ns is None else _pulse_us(args, config, positive=True)
     x, y, sigma = _read_xy_sigma(args.input)
     if args.model == "lorentzian":
         spec = lorentzian_spec(x, y)
     else:
-        if args.pulse_ns is None:
+        if pulse is None:
             raise ValueError("--pulse-ns is required for the rabi_collective model")
-        spec = rabi_collective_spec(_pulse_us(args, config, positive=True), x, y)
+        spec = rabi_collective_spec(pulse, x, y)
     result = fit(spec, x, y, sigma, max_iterations=args.max_iterations)
     payload = {
         "model": args.model,

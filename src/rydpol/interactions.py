@@ -264,18 +264,6 @@ def build_hamiltonian(basis, positions, omega_mu, c3):
     return SiteHamiltonian(matrix=_assemble(positions, omega_mu, c3, basis.n_sites, False))
 
 
-def _pi_sector_drive(n_sites):
-    """Drive term of the pi-sector Hamiltonian per unit Omega_mu: (1/2) sum_i X_i.
-
-    Dense 2^n x 2^n in the basis of build_pi_sector_hamiltonian, whose
-    matrix is Omega_mu times this plus the (Omega-independent) exchange.
-    """
-    dim = 2 ** n_sites
-    matrix = np.zeros(dim * dim)
-    matrix[_tables(n_sites, True)[1]] = 0.5
-    return matrix.reshape(dim, dim)
-
-
 def build_pi_sector_hamiltonian(positions, omega_mu, c3):
     """Drive plus exchange restricted to the {s, p0} product subspace.
 
@@ -391,21 +379,40 @@ def _block_eigh(matrices):
     return w, v, split
 
 
-def _all_s_return_probabilities(matrices, t):
-    """|<0| exp(-2 pi i H t) |0>|^2 for each real symmetric H of a stack, checked.
+def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
+    """All-s return probabilities of many registers at many drives, checked.
 
-    Basis state 0 is the all-s state of a pi-sector register.  The spectral
-    sum runs over the eigenpairs from _block_eigh without lifting them: state
-    0 has amplitude u_0 / sqrt(2) on each lifted block eigenvector, so a
-    split stack needs no assembled eigenvectors.  Clipped at 1 against
-    rounding.
+    Returns p[i, k] = |<0| exp(-2 pi i H t) |0>|^2 for H the pi-sector
+    Hamiltonian of registers[k] at omegas[i], t = pulse_duration.  H is
+    Omega * D + V: the exchange V of each register is built once, and the
+    unit drive D once per register size (no drive entry is an exchange
+    entry, so the sum is exact).  At each drive the registers of one size
+    are stacked and solved together by _block_eigh, and the spectral sum
+    runs over its eigenpairs without lifting them: state 0 has amplitude
+    u_0 / sqrt(2) on each lifted block eigenvector.  p = 1 for an empty
+    register, Omega = 0 or t = 0, and p is clipped at 1 against rounding.
     """
-    w, v, split = _block_eigh(matrices)
-    weights = v[..., 0, :] ** 2
-    if split:
-        weights *= 0.5
-    amplitude = np.sum(weights * np.exp(-2j * np.pi * w * t), axis=(0, -1))
-    return np.minimum(1.0, np.abs(amplitude) ** 2)
+    omegas = np.asarray(omegas, dtype=float)
+    probabilities = np.ones((omegas.size, len(registers)))
+    if pulse_duration == 0.0:
+        return probabilities
+    sizes = np.array([len(positions) for positions in registers], dtype=int)
+    for n in np.unique(sizes[sizes > 0]):
+        members = np.flatnonzero(sizes == n)
+        exchange = np.stack([build_pi_sector_hamiltonian(registers[k], 0.0, c3)
+                             for k in members])
+        drive = build_pi_sector_hamiltonian(registers[members[0]], 1.0, 0.0)
+        for i, omega in enumerate(omegas):
+            if omega == 0.0:
+                continue
+            w, v, split = _block_eigh(omega * drive + exchange)
+            weights = v[..., 0, :] ** 2
+            if split:
+                weights *= 0.5
+            amplitude = np.sum(weights * np.exp(-2j * np.pi * w * pulse_duration),
+                               axis=(0, -1))
+            probabilities[i, members] = np.minimum(1.0, np.abs(amplitude) ** 2)
+    return probabilities
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,9 +27,8 @@ import numpy as np
 from .config import ExperimentConfig, PairCoefficients, optical_blockade_radius
 from .interactions import (
     MAX_DIMENSION,
-    _all_s_return_probabilities,
     _distances,
-    _pi_sector_drive,
+    _scan_return_probabilities,
     build_pi_sector_hamiltonian,
     time_evolve,
 )
@@ -175,34 +174,6 @@ def _register_return_probability(positions, omega_mu, c3, pulse_duration):
     psi0[0] = 1.0
     psi = time_evolve(hamiltonian, psi0, pulse_duration)
     return min(1.0, float(np.abs(psi[0]) ** 2))
-
-
-def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
-    """All-s return probabilities of many registers at many drives.
-
-    Returns p[i, k] = _register_return_probability(registers[k], omegas[i],
-    c3, pulse_duration), up to rounding.  The Omega-independent exchange V of
-    each register is built once and the unit drive D once per register size;
-    at each drive the registers of one size are stacked as H = Omega*D + V,
-    checked and diagonalized together (by parity blocks where that pays), and
-    p = |sum_k v_0k^2 exp(-2 pi i w_k t)|^2.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    probabilities = np.ones((omegas.size, len(registers)))
-    if pulse_duration == 0.0:
-        return probabilities
-    sizes = np.array([len(positions) for positions in registers], dtype=int)
-    for n in np.unique(sizes[sizes > 0]):
-        members = np.flatnonzero(sizes == n)
-        exchange = np.stack([build_pi_sector_hamiltonian(registers[k], 0.0, c3)
-                             for k in members])
-        drive = _pi_sector_drive(int(n))
-        for i, omega in enumerate(omegas):
-            if omega == 0.0:
-                continue
-            probabilities[i, members] = _all_s_return_probabilities(
-                omega * drive + exchange, pulse_duration)
-    return probabilities
 
 
 def _worker_count(threads, cores, jobs):

@@ -195,7 +195,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", [-1, 950, "inf", "nan"])
     @pytest.mark.parametrize("command", [("protocol", "--trials", 10, "--threads", 1),
                                          ("rabi-scan", "--points", 2, "--threads", 1),
-                                         ("fit", "--model", "rabi_collective")])
+                                         ("fit", "--model", "rabi_collective"),
+                                         ("fit", "--model", "lorentzian")])
     def test_pulse_outside_the_storage_interval_names_the_flag(self, tmp_path, capsys,
                                                                command, value):
         scan = tmp_path / "scan.csv"

@@ -25,11 +25,11 @@ import numpy as np
 import pytest
 
 from rydpol.config import ExperimentConfig, RB60_PAIR
+from rydpol.interactions import _scan_return_probabilities
 from rydpol.montecarlo import (
     DriftSpec,
     _register_return_probability,
     _scan_geometries,
-    _scan_return_probabilities,
     run_shots,
     simulate_hbt_run,
     simulate_rabi_scan,

@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 from rydpol.config import ExperimentConfig, RB60_PAIR, optical_blockade_radius
 import rydpol.interactions as interactions
 import rydpol.montecarlo as montecarlo
+from rydpol.interactions import _scan_return_probabilities
 from rydpol.montecarlo import (
     BASE_RETRIEVAL_EFFICIENCY,
     WRITE_EFFICIENCY,
     _register_return_probability,
-    _scan_return_probabilities,
     _shot_chunk,
     _worker_count,
     _detector_codes,

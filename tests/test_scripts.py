@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 import rydpol
+from rydpol.config import (RB60_PAIR, ExperimentConfig, dipole_interaction,
+                           optical_blockade_radius)
+from rydpol.montecarlo import _register_return_probability, _scan_geometries
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 STUDIES = {
@@ -76,6 +79,22 @@ def test_exchange_crossover_study_writes_one_row_per_ratio(tmp_path):
     # the one study built on the scan's private write and kernel functions
     done = run_script("exchange_crossover_study.py", "--output-dir", tmp_path, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    with open(tmp_path / "crossover.csv", encoding="utf-8") as fh:
+        assert fh.readline().strip() == "omega_over_v,contact,mean_pairwise,mean_nearest"
     data = np.loadtxt(tmp_path / "crossover.csv", delimiter=",", skiprows=1)
     assert data.shape[0] == 7
     assert np.all(np.isfinite(data))
+    # the contact column is acceptance criterion 06's curve on the same 1,000
+    # registers, there taken one register at a time: the batched kernel must
+    # match it to the CSV's 6 significant digits
+    config = ExperimentConfig()
+    v_dd = abs(dipole_interaction(
+        RB60_PAIR.c3, optical_blockade_radius(RB60_PAIR.c6, config.eit_width)))
+    registers = _scan_geometries(config, RB60_PAIR, 1000, seed=77, n_polaritons=3)
+    curve = []
+    for ratio in (0.2, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 5.0):
+        omega = ratio * v_dd
+        curve.append(np.mean([_register_return_probability(g.polariton_positions, omega,
+                                                           RB60_PAIR.c3, 1.0 / omega)
+                              for g in registers]))
+    assert np.abs(data[:, 1] - curve).max() <= 5e-7
