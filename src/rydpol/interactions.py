@@ -207,16 +207,21 @@ def _distances(diffs):
     return np.sqrt(diffs[..., None, :] @ diffs[..., :, None])[..., 0, 0]
 
 
-def _assemble(positions, omega_mu, c3, n_sites, pi_sector):
-    """Checked dense drive + exchange matrix of n_sites sites, from _tables.
+def _assemble(positions, omega_mu, c3, shape, pi_sector):
+    """Checked dense drive + exchange matrices of the registers `positions`, from _tables.
 
     Writes Omega_mu / 2 at the drive entries and adds weight * V_ij at the
-    exchange entries of pair (i, j), V_ij = c3 * 1e3 / R_ij^3 in MHz.  Both
-    builders share its checks, distance rule and dimension cap.
+    exchange entries of pair (i, j), V_ij = c3 * 1e3 / R_ij^3 in MHz.
+    positions must have shape `shape`: (n, 3) for one register, (..., n, 3)
+    for a stack, which is checked, measured and filled at once.  The result
+    has shape (..., dim, dim), each matrix bit for bit the one assembled
+    from its register alone.  Both builders share its checks, distance rule
+    and dimension cap.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    if n_sites < 1 or positions.shape != (n_sites, 3):
-        raise ValueError(f"positions must have shape ({n_sites}, 3), n >= 1, got {positions.shape}")
+    n_sites = shape[-2]
+    if n_sites < 1 or positions.shape != shape:
+        raise ValueError(f"positions must have shape {shape}, n >= 1, got {positions.shape}")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
     if not (math.isfinite(omega_mu) and omega_mu >= 0):
@@ -228,19 +233,28 @@ def _assemble(positions, omega_mu, c3, n_sites, pi_sector):
         raise ValueError(f"dimension {dim} exceeds the dense-solver cap {MAX_DIMENSION}")
 
     pairs, drive, exchange, weights, pair_of_entry = _tables(n_sites, pi_sector)
-    distances = _distances(positions[pairs[:, 0]] - positions[pairs[:, 1]])
+    distances = _distances(positions[..., pairs[:, 0], :] - positions[..., pairs[:, 1], :])
     coincident = np.flatnonzero(distances <= 0.0)
     if coincident.size:
-        i, j = pairs[coincident[0]]
+        i, j = pairs[coincident[0] % len(pairs)]
         raise ValueError(f"sites {i} and {j} are coincident; pair distances must be > 0")
     # Python floats: numpy's vectorized power may round r^3 differently
-    couplings = np.array([c3 * 1e3 / r_ij ** 3 for r_ij in distances.tolist()])
-    matrix = np.zeros(dim * dim)
+    couplings = np.array([c3 * 1e3 / r_ij ** 3 for r_ij in distances.ravel().tolist()])
+    count = math.prod(shape[:-2])
+    if count != 1:
+        # the tables of every matrix of the stack, as flat indices: 1-d
+        # fancy indexing is faster than indexing the last axis of a stack
+        offsets = np.arange(count)[:, None]
+        drive = (offsets * dim * dim + drive).ravel()
+        exchange = (offsets * dim * dim + exchange).ravel()
+        pair_of_entry = (offsets * len(pairs) + pair_of_entry).ravel()
+        weights = np.tile(weights, count)
+    matrix = np.zeros(count * dim * dim)
     matrix[drive] = 0.5 * omega_mu
     values = couplings[pair_of_entry]
     values *= weights
     matrix[exchange] += values
-    return matrix.reshape(dim, dim)
+    return matrix.reshape(shape[:-2] + (dim, dim))
 
 
 def build_hamiltonian(basis, positions, omega_mu, c3):
@@ -261,7 +275,8 @@ def build_hamiltonian(basis, positions, omega_mu, c3):
     entry gets both, and the matrix is exactly the sum of those two builds.
     Refuses 4^n > MAX_DIMENSION (n > 6) before it allocates.
     """
-    return SiteHamiltonian(matrix=_assemble(positions, omega_mu, c3, basis.n_sites, False))
+    return SiteHamiltonian(
+        matrix=_assemble(positions, omega_mu, c3, (basis.n_sites, 3), False))
 
 
 def build_pi_sector_hamiltonian(positions, omega_mu, c3):
@@ -276,7 +291,7 @@ def build_pi_sector_hamiltonian(positions, omega_mu, c3):
     sites.  The global flip P = prod_i X_i (index k -> 2^n - 1 - k) commutes
     with this matrix, which eigenspectrum exploits.
     """
-    return _assemble(positions, omega_mu, c3, len(np.atleast_2d(positions)), True)
+    return _assemble(positions, omega_mu, c3, (len(np.atleast_2d(positions)), 3), True)
 
 
 # --------------------------------------------------------------------------
@@ -351,18 +366,43 @@ def _block_eigh(matrices):
     lifts to the eigenvector [u; +-J u] / sqrt(2) of H.  The residual check
     runs on the blocks, which bounds the same norm since Q is orthogonal.
     Otherwise the leading axis has length 1 and holds those of H itself.
+    It is _parity_blocks followed by _solve_blocks.
+    """
+    blocks, split = _parity_blocks(matrices)
+    return (*_solve_blocks(blocks), split)
+
+
+def _parity_blocks(matrices, split=None, overwrite=False):
+    """The check-and-split step of _block_eigh: (blocks, split).
+
+    blocks is (A + B J, A - B J) if split, else `matrices` under a leading
+    axis of 1.  split=None splits a centrosymmetric input of at least
+    _SPLIT_MIN_ENTRIES entries; True or False imposes another input's
+    decision (True only on a centrosymmetric input).
+    overwrite=True writes the blocks over the lower half rows of `matrices`,
+    which P H P = H makes redundant, so the caller must own `matrices`.
     """
     _check_hermitian(matrices, "eigenspectrum input")
-    split = matrices.size >= _SPLIT_MIN_ENTRIES and _centrosymmetric(matrices)
-    if split:
-        half = matrices.shape[-1] // 2
-        top = matrices[..., :half, :half]
-        corner = matrices[..., :half, half:][..., ::-1]
-        blocks = np.empty((2,) + top.shape, dtype=top.dtype)
-        np.add(top, corner, out=blocks[0])
-        np.subtract(top, corner, out=blocks[1])
+    if split is None:
+        split = matrices.size >= _SPLIT_MIN_ENTRIES and _centrosymmetric(matrices)
+    if not split:
+        return matrices[None], False
+    half = matrices.shape[-1] // 2
+    top = matrices[..., :half, :half]
+    corner = matrices[..., :half, half:][..., ::-1]
+    if overwrite:
+        # row i of the lower half holds row i of A + B J, then of A - B J
+        lower = matrices[..., half:, :]
+        blocks = np.moveaxis(lower.reshape(lower.shape[:-1] + (2, half)), -2, 0)
     else:
-        blocks = matrices[None]
+        blocks = np.empty((2,) + top.shape, dtype=top.dtype)
+    np.add(top, corner, out=blocks[0])
+    np.subtract(top, corner, out=blocks[1])
+    return blocks, True
+
+
+def _solve_blocks(blocks):
+    """eigh of _parity_blocks' blocks and the residual check of _block_eigh: (w, v)."""
     w, v = np.linalg.eigh(blocks)
     h_norm = np.abs(w).max(axis=(0, -1), initial=0.0)
     misfit = blocks @ v
@@ -376,7 +416,12 @@ def _block_eigh(matrices):
         raise RuntimeError(
             f"eigenpair residual {residuals.flat[first]:.3e} exceeds "
             f"1e-9 * ||H|| = {1e-9 * h_norm.flat[first]:.3e}")
-    return w, v, split
+    return w, v
+
+
+#: Bytes of parity blocks per eigh call in _scan_return_probabilities, so
+#: that a solve's temporaries stay small next to the exchange stack.
+_SCAN_SOLVE_BYTES = 4 * 2 ** 20
 
 
 def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
@@ -384,33 +429,48 @@ def _scan_return_probabilities(registers, omegas, c3, pulse_duration):
 
     Returns p[i, k] = |<0| exp(-2 pi i H t) |0>|^2 for H the pi-sector
     Hamiltonian of registers[k] at omegas[i], t = pulse_duration.  H is
-    Omega * D + V: the exchange V of each register is built once, and the
-    unit drive D once per register size (no drive entry is an exchange
-    entry, so the sum is exact).  At each drive the registers of one size
-    are stacked and solved together by _block_eigh, and the spectral sum
-    runs over its eigenpairs without lifting them: state 0 has amplitude
-    u_0 / sqrt(2) on each lifted block eigenvector.  p = 1 for an empty
-    register, Omega = 0 or t = 0, and p is clipped at 1 against rounding.
+    Omega * D + V.  Per register size, one _assemble call builds every V;
+    V and the unit drive D are then checked and split once (D by V's
+    decision).  No drive entry is an exchange entry, so Omega * D_blk + V_blk
+    is the split of Omega * D + V bit for bit, and a finite Omega keeps it
+    finite and symmetric.  Each drive solves it by _solve_blocks, up to
+    _SCAN_SOLVE_BYTES per call, and the spectral sum runs over the block
+    eigenpairs without lifting them: state 0 has amplitude u_0 / sqrt(2) on
+    each lifted block eigenvector.  p = 1 for an empty register, Omega = 0
+    or t = 0, and p is clipped at 1 against rounding.
     """
     omegas = np.asarray(omegas, dtype=float)
+    if not np.all(np.isfinite(omegas)):
+        raise ValueError("omegas must be finite")
     probabilities = np.ones((omegas.size, len(registers)))
     if pulse_duration == 0.0:
         return probabilities
     sizes = np.array([len(positions) for positions in registers], dtype=int)
     for n in np.unique(sizes[sizes > 0]):
         members = np.flatnonzero(sizes == n)
-        exchange = np.stack([build_pi_sector_hamiltonian(registers[k], 0.0, c3)
-                             for k in members])
-        drive = build_pi_sector_hamiltonian(registers[members[0]], 1.0, 0.0)
+        exchange = _assemble(np.stack([registers[k] for k in members]), 0.0, c3,
+                             (members.size, n, 3), True)
+        exchange, split = _parity_blocks(exchange, overwrite=True)
+        drive, _ = _parity_blocks(build_pi_sector_hamiltonian(registers[members[0]], 1.0, 0.0),
+                                  split)
+        drive = drive[:, None]
+        step = max(1, _SCAN_SOLVE_BYTES // exchange[:, 0].nbytes)
+        # eigenvalues and first eigenvector rows of the whole group, so that
+        # the spectral sum reduces one stack however the solves are grouped
+        w = np.empty(exchange.shape[:-1])
+        first_row = np.empty_like(w)
         for i, omega in enumerate(omegas):
             if omega == 0.0:
                 continue
-            w, v, split = _block_eigh(omega * drive + exchange)
-            weights = v[..., 0, :] ** 2
+            for lo in range(0, members.size, step):
+                # C order: a fresh stack, whatever the layout of the blocks split in place
+                hamiltonian = np.add(omega * drive, exchange[:, lo:lo + step], order="C")
+                w[:, lo:lo + step], v = _solve_blocks(hamiltonian)
+                first_row[:, lo:lo + step] = v[..., 0, :]
+            weights = first_row ** 2
             if split:
                 weights *= 0.5
-            amplitude = np.sum(weights * np.exp(-2j * np.pi * w * pulse_duration),
-                               axis=(0, -1))
+            amplitude = np.sum(weights * np.exp(-2j * np.pi * w * pulse_duration), axis=(0, -1))
             probabilities[i, members] = np.minimum(1.0, np.abs(amplitude) ** 2)
     return probabilities
 

@@ -93,9 +93,15 @@ def sample_positions(config, count, seed, index=0):
 
 
 def _cloud(config, count, rng):
-    """`count` positions drawn from rng, the cloud stream of a trial."""
+    """`count` positions drawn from rng, the cloud stream of a trial.
+
+    Finite draws of shape (count, 3), count >= 1, by construction, so the
+    sample is made without CloudSample's checks.
+    """
     scale = np.array([config.cloud_wr, config.cloud_wr, config.cloud_wz])
-    return CloudSample(positions=rng.normal(0.0, 1.0, size=(count, 3)) * scale)
+    cloud = object.__new__(CloudSample)
+    object.__setattr__(cloud, "positions", rng.normal(0.0, 1.0, size=(count, 3)) * scale)
+    return cloud
 
 
 @dataclass(frozen=True)
@@ -124,16 +130,18 @@ def write_polaritons(cloud, r_o):
     accepted excitation lies within r_o.  The distances of a block of up to
     _WRITE_BLOCK candidates to the earlier acceptances and to each other
     are computed at once; one pass over the block then accepts in order.
+    A cloud of at most _WRITE_BLOCK candidates takes one distance matrix.
     """
     if not (math.isfinite(r_o) and r_o > 0):
         raise ValueError(f"r_o must be positive, got {r_o!r}")
     candidates = cloud.positions
     accepted = candidates[:0]
     for start in range(0, len(candidates), _WRITE_BLOCK):
+        block = candidates[start:start + _WRITE_BLOCK]
         # rows: this block's candidates; columns: the acceptances so far, then
         # the same candidates
-        others = np.concatenate([accepted, candidates[start:start + _WRITE_BLOCK]])
-        near = ~(_distances(others[len(accepted):, None, :] - others) >= r_o)
+        others = np.concatenate([accepted, block]) if len(accepted) else block
+        near = ~(_distances(block[:, None, :] - others) >= r_o)
         taken = list(range(len(accepted)))
         for index, row in enumerate(near.tolist(), start=len(accepted)):
             if not any(row[t] for t in taken):
@@ -846,9 +854,10 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
     background_mean = config.background_rate * config.window_duration
     means = np.empty(omegas.size)
     sems = np.empty(omegas.size)
+    bit_generator = np.random.Philox()
     for i in range(omegas.size):
         p_detect = overlaps[i] * BASE_RETRIEVAL_EFFICIENCY * config.detection_efficiency
-        rng = philox_stream(seed, _STAGE_SCAN, i)
+        rng = _rekeyed_stream(bit_generator, seed, _STAGE_SCAN, i)
         counts = rng.binomial(n_assigned, p_detect[assignment])
         counts = counts + rng.poisson(background_mean, size=trials)
         means[i] = counts.mean()

@@ -30,6 +30,7 @@ from rydpol.interactions import (
     _EXCHANGE_BRACKET,
     _HOP_MINUS_PLUS,
     _HOP_PLUS_MINUS,
+    _assemble,
     _centrosymmetric,
     _block_eigh,
     _check_hermitian,
@@ -687,6 +688,44 @@ class TestPiSectorTables:
         pos[3] = pos[1]
         with pytest.raises(ValueError, match="sites 1 and 3 are coincident"):
             build_pi_sector_hamiltonian(pos, 2.0, C3)
+
+
+class TestStackedAssembly:
+    """One _assemble call over a stack equals the builder on each register."""
+
+    @given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([C3, 0.0, 3.7]), st.sampled_from([0.0, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_register_builds_bit_for_bit(self, n, count, seed, c3, omega):
+        stack = np.stack([random_register(n, seed + k) for k in range(count)])
+        built = _assemble(stack, omega, c3, (count, n, 3), True)
+        assert built.shape == (count, 2 ** n, 2 ** n) and built.flags.c_contiguous
+        for k in range(count):
+            assert built[k].tobytes() == build_pi_sector_hamiltonian(stack[k], omega, c3).tobytes()
+        nested = _assemble(stack[None], omega, c3, (1, count, n, 3), True)
+        assert nested.tobytes() == built.tobytes() and nested.shape == (1,) + built.shape
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_non_finite_register_anywhere_refused(self, where):
+        stack = np.stack([random_register(3, k) for k in range(5)])
+        stack[where, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            _assemble(stack, 0.0, C3, stack.shape, True)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_coincident_register_anywhere_refused(self, where):
+        stack = np.stack([random_register(4, k) for k in range(5)])
+        stack[where, 3] = stack[where, 1]
+        with pytest.raises(ValueError, match=r"^sites 1 and 3 are coincident; pair distances "
+                                             r"must be > 0$"):
+            _assemble(stack, 0.0, C3, stack.shape, True)
+
+    def test_builders_take_one_register(self):
+        stack = np.stack([random_register(3, k) for k in range(3)])
+        with pytest.raises(ValueError, match=r"positions must have shape \(3, 3\)"):
+            build_pi_sector_hamiltonian(stack, 1.0, C3)
+        with pytest.raises(ValueError, match=r"positions must have shape \(3, 3\)"):
+            build_hamiltonian(SiteBasis(3), stack, 1.0, C3)
 
 
 class TestParitySplit:

@@ -138,6 +138,14 @@ class TestCloudSampling:
         with pytest.raises(ValueError):
             sample_positions(CFG, count, 1)
 
+    def test_drawn_cloud_equals_the_checked_sample(self):
+        cloud = sample_positions(CFG, 7, 12)
+        checked = CloudSample(cloud.positions.copy())
+        assert type(cloud) is CloudSample
+        assert cloud.positions.dtype == float and cloud.positions.shape == (7, 3)
+        assert np.array_equal(cloud.positions, checked.positions)
+        assert np.all(np.isfinite(cloud.positions))
+
     def test_cloud_sample_validation(self):
         with pytest.raises(ValueError):
             CloudSample(positions=np.ones((3, 2)))
@@ -207,6 +215,24 @@ class TestBlockadedWrite:
         expected = sequential_write(positions, r_o)
         assert np.array_equal(result.polariton_positions, expected)
         assert result.n_candidates == len(positions)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(1, 600),
+           st.floats(3.0, 40.0))
+    @settings(max_examples=30, deadline=None)
+    @example(seed=5, count=montecarlo._WRITE_BLOCK, r_o=3.0)
+    @example(seed=5, count=montecarlo._WRITE_BLOCK + 1, r_o=3.0)
+    def test_sampled_clouds_match_sequential_loop(self, seed, count, r_o):
+        # the clouds the write path draws, one block and several, with no
+        # CloudSample check run on them
+        cloud = sample_positions(CFG, count, seed)
+        result = write_polaritons(cloud, r_o)
+        expected = sequential_write(cloud.positions, r_o)
+        assert np.array_equal(result.polariton_positions, expected)
+        assert result.n_candidates == count
+        pos = result.polariton_positions
+        dists = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
+        np.fill_diagonal(dists, np.inf)
+        assert np.all(dists >= r_o)
 
     def test_result_does_not_alias_the_cloud(self):
         cloud = sample_positions(CFG, 6, 3)
@@ -1122,6 +1148,27 @@ class TestRabiScan:
             assert got.n_candidates == want.n_candidates
         assert calls and min(calls) >= 3
 
+    def test_detection_draws_match_fresh_streams(self):
+        # the scan re-keys one bit generator per drive and draws what a
+        # fresh stream of the drive's label draws
+        omegas, t, trials, seed = np.array([0.0, 2.5, 7.0]), 0.3, 300, 23
+        with patch.object(montecarlo, "philox_stream", side_effect=AssertionError):
+            scan = simulate_rabi_scan(CFG, RB60_PAIR, omegas, t, trials=trials, seed=seed,
+                                      n_polaritons=2, geometry_samples=12)
+        geometries = montecarlo._scan_geometries(CFG, RB60_PAIR, 12, seed, n_polaritons=2)
+        p = _scan_return_probabilities([g.polariton_positions for g in geometries], omegas,
+                                       RB60_PAIR.c3, t)
+        assigned = np.arange(trials) % 12
+        for i in range(omegas.size):
+            rng = philox_stream(seed, montecarlo._STAGE_SCAN, i)
+            counts = rng.binomial(
+                2, p[i][assigned] * BASE_RETRIEVAL_EFFICIENCY * CFG.detection_efficiency)
+            counts = counts + rng.poisson(CFG.background_rate * CFG.window_duration,
+                                          size=trials)
+            assert scan.mean_counts[i] == counts.mean()
+            assert scan.sem_counts[i] == max(counts.std(ddof=1) / math.sqrt(trials),
+                                             1.0 / trials)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_rabi_scan(CFG, RB60_PAIR, np.array([]), 0.3, trials=100,
@@ -1171,6 +1218,42 @@ class FakePool:
         return [func(block) for block in blocks]
 
 
+def per_drive_kernel(registers, omegas, c3, pulse_duration):
+    """_scan_return_probabilities with its stack built and split again at every drive.
+
+    Each size group's exchange V is one builder call per register and an
+    np.stack, and each drive solves _block_eigh(omega * D + V).
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    probabilities = np.ones((omegas.size, len(registers)))
+    if pulse_duration == 0.0:
+        return probabilities
+    sizes = np.array([len(positions) for positions in registers], dtype=int)
+    for n in np.unique(sizes[sizes > 0]):
+        members = np.flatnonzero(sizes == n)
+        exchange = np.stack([interactions.build_pi_sector_hamiltonian(registers[k], 0.0, c3)
+                             for k in members])
+        drive = interactions.build_pi_sector_hamiltonian(registers[members[0]], 1.0, 0.0)
+        for i, omega in enumerate(omegas):
+            if omega == 0.0:
+                continue
+            w, v, split = interactions._block_eigh(omega * drive + exchange)
+            weights = v[..., 0, :] ** 2
+            if split:
+                weights *= 0.5
+            amplitude = np.sum(weights * np.exp(-2j * np.pi * w * pulse_duration),
+                               axis=(0, -1))
+            probabilities[i, members] = np.minimum(1.0, np.abs(amplitude) ** 2)
+    return probabilities
+
+
+def spaced_register(n, seed):
+    """n sites along z at least R_O apart, as a blockaded write stores them."""
+    rng = np.random.default_rng(seed)
+    z = np.cumsum(R_O * (1.0 + rng.uniform(0.0, 1.0, n)))
+    return np.column_stack([rng.normal(0, 5.0, n), rng.normal(0, 5.0, n), z])
+
+
 class TestScanKernel:
     @given(register_specs, drives, pulses, st.sampled_from([None, 0]))
     @settings(max_examples=40, deadline=None)
@@ -1184,6 +1267,77 @@ class TestScanKernel:
                    for r in registers] for omega in omegas]
         assert batched.shape == (len(omegas), len(registers))
         assert np.abs(batched - np.array(single)).max() <= 1e-12
+
+    @given(register_specs, drives, pulses, st.sampled_from([None, 0]),
+           st.sampled_from([None, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_drive_oracle(self, specs, omegas, t, split_from, solve_bytes):
+        # split_from=0 splits every stack; solve_bytes=1 solves one register per call
+        registers = written_registers(specs)
+        limit = interactions._SPLIT_MIN_ENTRIES if split_from is None else split_from
+        step = interactions._SCAN_SOLVE_BYTES if solve_bytes is None else solve_bytes
+        with patch.object(interactions, "_SPLIT_MIN_ENTRIES", limit):
+            expected = per_drive_kernel(registers, omegas, RB60_PAIR.c3, t)
+            with patch.object(interactions, "_SCAN_SOLVE_BYTES", step):
+                got = _scan_return_probabilities(registers, omegas, RB60_PAIR.c3, t)
+        assert np.array_equal(got, expected)
+
+    def test_matches_per_drive_oracle_on_many_registers(self):
+        # the benchmark's scan: 400 three-polariton registers at 40 drives
+        registers = [g.polariton_positions
+                     for g in montecarlo._scan_geometries(CFG, RB60_PAIR, 400, 1, n_polaritons=3)]
+        omegas = np.linspace(0.5, 13.5, 40)
+        expected = per_drive_kernel(registers, omegas, RB60_PAIR.c3, 0.15)
+        assert np.array_equal(_scan_return_probabilities(registers, omegas, RB60_PAIR.c3, 0.15),
+                              expected)
+        # larger registers, each size group solved over several calls
+        registers = [spaced_register(n, seed) for n in (8, 9) for seed in range(5)]
+        expected = per_drive_kernel(registers, [1.5, 9.0], RB60_PAIR.c3, 0.15)
+        with patch.object(interactions, "_SCAN_SOLVE_BYTES", 2 ** 19):
+            got = _scan_return_probabilities(registers, [1.5, 9.0], RB60_PAIR.c3, 0.15)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("defect, message", [("nan", "non-finite"),
+                                                 ("asymmetric", "not Hermitian")])
+    @pytest.mark.parametrize("split", [None, True, False])
+    def test_split_step_refuses_what_the_solve_refuses(self, defect, message, split):
+        good = interactions.build_pi_sector_hamiltonian(spaced_register(4, 2), 3.0, RB60_PAIR.c3)
+        stack = np.stack([good, good, good])
+        stack[1, 2, 5] = np.nan if defect == "nan" else good[2, 5] + 1e-9 * np.abs(good).max()
+        with pytest.raises(ValueError, match=message):
+            interactions._block_eigh(stack)
+        with pytest.raises(ValueError, match=message):
+            interactions._parity_blocks(stack, split)
+        with pytest.raises(ValueError, match=message):
+            interactions._parity_blocks(stack, split, overwrite=True)
+
+    def test_split_in_place_equals_fresh_blocks(self):
+        stack = np.stack([interactions.build_pi_sector_hamiltonian(spaced_register(5, k), 0.0,
+                                                                   RB60_PAIR.c3)
+                          for k in range(3)])
+        fresh, split = interactions._parity_blocks(stack, True)
+        in_place, split_again = interactions._parity_blocks(stack.copy(), True, overwrite=True)
+        assert split and split_again and in_place.shape == fresh.shape == (2, 3, 16, 16)
+        assert np.array_equal(in_place, fresh)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_drive_rejected(self, bad):
+        with pytest.raises(ValueError, match="omegas must be finite"):
+            _scan_return_probabilities([spaced_register(3, 1)], [1.0, bad], RB60_PAIR.c3, 0.1)
+
+    def test_memory_holds_one_exchange_stack(self):
+        # eight n = 10 registers: one exchange stack is 8 * 1024^2 doubles
+        # (64 MiB); it is split in place and solved a few registers at a time
+        registers = [spaced_register(10, seed) for seed in range(8)]
+        stack_bytes = 8 * 1024 ** 2 * 8
+        tracemalloc.start()
+        try:
+            p = _scan_return_probabilities(registers, [2.0], RB60_PAIR.c3, 0.15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((p > 0.0) & (p <= 1.0))
+        assert peak < 1.5 * stack_bytes
 
     @given(register_specs, drives, pulses)
     @settings(max_examples=40, deadline=None)
