@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
@@ -32,7 +31,7 @@ from .interactions import (
     build_pi_sector_hamiltonian,
     time_evolve,
 )
-from .rng import _check_label, _key, _rekeyed_stream, philox_stream
+from .rng import _check_label, _rekeyed, _run_seed, philox_stream
 
 #: Probability that an input photon produces a Rydberg excitation candidate
 #: during the write pulse.  Calibrated so the blockaded write at the default
@@ -154,18 +153,19 @@ def _written_register(config, r_o, seed, trial, bit_generator, min_candidates=0)
     """The blockaded write of one trial at blockade radius r_o, from that trial's streams.
 
     The streams are drawn by re-keying the caller's np.random.Philox, with
-    the draws of philox_stream and sample_positions.  Returns None, without
-    sampling the cloud, when fewer than min_candidates candidates are drawn:
-    such a write cannot store min_candidates polaritons.
+    the draws of philox_stream and sample_positions; seed and trial are
+    Python ints that the run has checked (see rng._run_seed).  Returns None,
+    without sampling the cloud, when fewer than min_candidates candidates
+    are drawn: such a write cannot store min_candidates polaritons.
     """
-    n_candidates = int(_rekeyed_stream(bit_generator, seed, _STAGE_CANDIDATES, trial)
+    n_candidates = int(_rekeyed(bit_generator, seed, _STAGE_CANDIDATES, trial)
                        .poisson(config.mean_input_photons * WRITE_EFFICIENCY))
     if n_candidates < min_candidates:
         return None
     if n_candidates == 0:
         return WriteResult(polariton_positions=np.empty((0, 3)), n_candidates=0)
     cloud = _cloud(config, n_candidates,
-                   _rekeyed_stream(bit_generator, seed, _STAGE_CLOUD, trial))
+                   _rekeyed(bit_generator, seed, _STAGE_CLOUD, trial))
     return write_polaritons(cloud, r_o)
 
 
@@ -202,6 +202,8 @@ def _map_blocks(func, items, threads):
     workers = _worker_count(threads, os.cpu_count(), len(items))
     if workers <= 1:
         return func(items)
+    # imported here, so that serial runs load no multiprocessing machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(func, np.array_split(items, workers))))
 
@@ -232,7 +234,7 @@ def _shot_chunk(config, pair_coeffs, omega_mu, pulse_duration, seed, trials):
         n = write.n_polaritons
         return_probability = _register_return_probability(
             write.polariton_positions, omega_mu, pair_coeffs.c3, pulse_duration)
-        rng = _rekeyed_stream(bit_generator, seed, _STAGE_DETECT, trial)
+        rng = _rekeyed(bit_generator, seed, _STAGE_DETECT, trial)
         detected = 0
         if n:
             retrieved = rng.binomial(n, return_probability * BASE_RETRIEVAL_EFFICIENCY)
@@ -258,7 +260,8 @@ def run_shots(config, pair_coeffs, omega_mu, pulse_duration, trials, seed, threa
     if not (math.isfinite(omega_mu) and omega_mu >= 0):
         raise ValueError(f"omega_mu must be a non-negative frequency, got {omega_mu!r}")
     _check_pulse(config, pulse_duration)
-    _key(seed, _STAGE_DETECT, 0)  # the seed rule of every stream, checked before workers start
+    # every stream label of the run, checked before workers start
+    seed = _run_seed(seed, trials)
     counts = _map_blocks(
         partial(_shot_chunk, config, pair_coeffs, omega_mu, pulse_duration, seed),
         np.arange(trials), threads if trials >= 64 else 1)
@@ -359,10 +362,14 @@ class _ClickDraws:
     codes of [signal, background].  Each distribution draws the same values
     in blocks as in one call over the run.  Offsets outside the window are
     redrawn in run order, one draw per pass, so every offset is drawn before
-    the background.  place(b) builds block b's events.  Every event of
-    a trial lies inside the trial's period (0 <= start < end < period), so
-    sorting each block's [signal, background] stably equals sorting the
-    run's.
+    the background.  The codes are kept as uint8 code points ('A' = 65,
+    'B' = 66), one byte per event, and drawn _CLICK_BLOCK at a time: a
+    range-2 uint32 draw takes one 32-bit word per value, and the bit
+    generator carries its spare half-word from one call to the next, so the
+    blocks draw the values of one call over the run.  place(b) builds block
+    b's events.  Every event of a trial lies inside the trial's period
+    (0 <= start < end < period), so sorting each block's [signal,
+    background] stably equals sorting the run's.
     """
 
     def __init__(self, config, per_trial_photon_counts, seed):
@@ -417,15 +424,16 @@ class _ClickDraws:
         self.background = rng.uniform(start, end, size=self.background_at[-1])
 
         # detector codes in the order [signal, background], as the events are drawn
-        self.codes = rng.integers(0, 2, size=self.signal_at[-1] + self.background.size,
-                                  dtype=np.uint32)
-        self.codes += _DETECTOR_A
-        self.background_codes = self.codes[self.signal_at[-1]:].copy()
+        self.codes = np.empty(self.signal_at[-1] + self.background.size, dtype=np.uint8)
+        for lo in range(0, self.codes.size, _CLICK_BLOCK):
+            block = self.codes[lo:lo + _CLICK_BLOCK]
+            block[:] = rng.integers(0, 2, size=block.size, dtype=np.uint32)
+            block += _DETECTOR_A
 
     def place(self, b):
         """(slice, times, codes): where block b's events go in the run, sorted by time.
 
-        The block's signal offsets are released.
+        The codes are uint8 code points.  The block's signal offsets are released.
         """
         lo, hi = self.blocks[b]
         s0, s1 = self.signal_at[b], self.signal_at[b + 1]
@@ -437,7 +445,8 @@ class _ClickDraws:
                                 self.counts[lo:hi].astype(np.int64, copy=False)),
             self.background[e0:e1] + np.repeat(hit * self.period, n_hit)])
         order = np.argsort(times, kind="stable")
-        codes = np.concatenate([self.codes[s0:s1], self.background_codes[e0:e1]])
+        n_signal = self.signal_at[-1]
+        codes = np.concatenate([self.codes[s0:s1], self.codes[n_signal + e0:n_signal + e1]])
         return slice(s0 + e0, s1 + e1), times.take(order), codes.take(order)
 
 
@@ -450,11 +459,10 @@ def generate_click_stream(config, per_trial_photon_counts, seed):
     The record is built _CLICK_BLOCK trials at a time (see _ClickDraws).
     """
     draws = _ClickDraws(config, per_trial_photon_counts, seed)
-    codes = draws.codes
-    times = np.empty(codes.size)
-    # each block's sorted codes overwrite the codes of its own and later
-    # blocks, so blocks are placed from the last one back
-    for b in reversed(range(len(draws.blocks))):
+    times = np.empty(draws.codes.size)
+    # the record's '<U1' labels are uint32 code points
+    codes = np.empty(draws.codes.size, dtype=np.uint32)
+    for b in range(len(draws.blocks)):
         placed, block_times, block_codes = draws.place(b)
         times[placed] = block_times
         codes[placed] = block_codes
@@ -799,6 +807,7 @@ def _scan_geometries(config, pair_coeffs, count, seed, n_polaritons=None):
     n_polaritons is skipped without sampling its cloud.
     """
     budget = 10000 * count
+    seed = _run_seed(seed, budget)
     r_o = optical_blockade_radius(pair_coeffs.c6, config.eit_width)
     bit_generator = np.random.Philox()
     writes = (_written_register(config, r_o, seed, attempt, bit_generator,
@@ -840,6 +849,7 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
             isinstance(n_polaritons, (int, np.integer)) and 0 <= n_polaritons <= _MAX_SITES):
         raise ValueError(f"n_polaritons must be None or an integer in [0, {_MAX_SITES}], "
                          f"got {n_polaritons!r}")
+    seed = _run_seed(seed, omegas.size)  # the labels of the detection streams
     geometries = _scan_geometries(config, pair_coeffs, int(geometry_samples), seed,
                                   n_polaritons=n_polaritons)
     n_per_geometry = np.array([g.n_polaritons for g in geometries], dtype=np.int64)
@@ -857,7 +867,7 @@ def simulate_rabi_scan(config, pair_coeffs, omegas, pulse_duration, trials, seed
     bit_generator = np.random.Philox()
     for i in range(omegas.size):
         p_detect = overlaps[i] * BASE_RETRIEVAL_EFFICIENCY * config.detection_efficiency
-        rng = _rekeyed_stream(bit_generator, seed, _STAGE_SCAN, i)
+        rng = _rekeyed(bit_generator, seed, _STAGE_SCAN, i)
         counts = rng.binomial(n_assigned, p_detect[assignment])
         counts = counts + rng.poisson(background_mean, size=trials)
         means[i] = counts.mean()

@@ -9,7 +9,8 @@ parallel executions of the same labels produce bit-identical results.
 A Philox stream is just its key, so the shot and scan paths do not build a
 fresh generator per stream: each call re-keys one bit generator of its own
 (``_rekeyed_stream``), which draws exactly what ``philox_stream`` of the same
-label draws.
+label draws.  A run checks its seed and largest index once (``_run_seed``)
+and re-keys each trial's streams without further checks (``_rekeyed``).
 """
 
 from __future__ import annotations
@@ -59,9 +60,25 @@ def _rekeyed_stream(bit_generator, master_seed, stage, index=0):
     label draws.  Re-keying again restarts the same bit generator, so the
     previous Generator must no longer be drawn from.
     """
+    _key(master_seed, stage, index)
+    return _rekeyed(bit_generator, int(master_seed), int(stage), int(index))
+
+
+def _run_seed(master_seed, count):
+    """master_seed as a key word, for a run of streams (master_seed, stage, i), i < count.
+
+    Checks the seed and the largest index, count - 1, as _key does, so that
+    the run can re-key each stream with _rekeyed, which checks nothing; the
+    stages are the program's own constants.
+    """
+    return _key(master_seed, 0, count - 1)[0]
+
+
+def _rekeyed(bit_generator, master_seed, stage, index):
+    """_rekeyed_stream of a label already checked, given as Python ints."""
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _key(master_seed, stage, index)},
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, (stage << 48) | index)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(bit_generator)
 

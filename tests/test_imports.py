@@ -6,6 +6,7 @@ scipy.constants are checked against scipy's values to 1e-8 relative, which
 holds for CODATA 2018 and 2022 alike (they differ by at most 1.4e-9).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,9 +19,19 @@ import rydpol
 from rydpol import config, structure
 
 
-def test_import_does_not_load_scipy():
-    # the shot, scan and pulsed-HBT paths must not pull scipy in either
-    code = ("import sys, rydpol\n"
+@pytest.fixture(scope="module")
+def loaded_packages():
+    """Top-level packages of interest loaded by a fresh interpreter.
+
+    Read after `import rydpol` and again after the serial shot, scan and
+    pulsed-HBT runs (threads=1), in one subprocess.
+    """
+    code = ("import json, sys\n"
+            "def loaded():\n"
+            "    return sorted({m.split('.')[0] for m in sys.modules}\n"
+            "                  & {'scipy', 'multiprocessing'})\n"
+            "import rydpol\n"
+            "after_import = loaded()\n"
             "from rydpol.config import RB60_PAIR, ExperimentConfig\n"
             "config = ExperimentConfig()\n"
             "rydpol.run_shots(config, RB60_PAIR, 2.0, 0.15, 64, 1, threads=1)\n"
@@ -28,11 +39,24 @@ def test_import_does_not_load_scipy():
             "                          geometry_samples=20, threads=1)\n"
             "rydpol.simulate_hbt_run(config, 2000, 1, max_delay=200,\n"
             "                        drift=rydpol.DriftSpec.from_relative_std(0.3))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(json.dumps({'import': after_import, 'runs': loaded()}))")
     env = dict(os.environ, PYTHONPATH=str(Path(rydpol.__file__).resolve().parent.parent))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_import_does_not_load_scipy(loaded_packages):
+    # the shot, scan and pulsed-HBT paths must not pull scipy in either
+    assert "scipy" not in loaded_packages["import"]
+    assert "scipy" not in loaded_packages["runs"]
+
+
+def test_serial_runs_load_no_process_pool(loaded_packages):
+    # the worker pool, and with it multiprocessing, is imported only when
+    # more than one worker starts
+    assert "multiprocessing" not in loaded_packages["import"]
+    assert "multiprocessing" not in loaded_packages["runs"]
 
 
 @pytest.mark.parametrize("ours, name", [

@@ -14,6 +14,7 @@ Independent oracles used here:
     (no drive, no pulse, strong drive).
 """
 
+import concurrent.futures
 import math
 import re
 import tracemalloc
@@ -55,7 +56,7 @@ from rydpol.montecarlo import (
     simulate_rabi_scan,
     write_polaritons,
 )
-from rydpol.rng import philox_stream
+from rydpol.rng import MAX_INDEX, philox_stream
 
 CFG = ExperimentConfig()
 R_O = optical_blockade_radius(RB60_PAIR.c6, CFG.eit_width)
@@ -322,10 +323,21 @@ class TestSimulateShot:
         def refused(*args, **kwargs):
             raise AssertionError("run_shots started a worker pool")
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         with pytest.raises(error, match=message):
             run_shots(CFG, RB60_PAIR, omega, pulse, 128, seed, threads=4)
+
+    def test_largest_stream_index_is_checked_before_any_draw(self):
+        # a run whose trials, or scan attempts, would need an index past the
+        # label capacity is refused before it draws or allocates anything
+        with patch.object(montecarlo, "_written_register", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="index"):
+                run_shots(CFG, RB60_PAIR, 2.0, 0.15, MAX_INDEX + 1, 1)
+            with pytest.raises(ValueError, match="index"):
+                simulate_rabi_scan(CFG, RB60_PAIR, [1.0], 0.15, 100, 1,
+                                   geometry_samples=MAX_INDEX // 10_000 + 1)
+        assert run_shots(CFG, RB60_PAIR, 2.0, 0.15, 3, 1).size == 3
 
 
 class TestShotStreams:
@@ -791,6 +803,39 @@ class TestBlockedClickPipeline:
         offsets = np.mod(clicks.times, CFG.repetition_period)
         assert offsets.min() >= 1.2 and offsets.max() < 1.3
 
+    @pytest.mark.parametrize("block", [montecarlo._CLICK_BLOCK, 7, 1024])
+    def test_draws_follow_the_stream_order(self, monkeypatch, block):
+        # one fresh stream drawn whole, in the documented order; the narrow
+        # window sends offsets back for redraws, and about one background
+        # event per pulse puts background hits in nearly every block
+        monkeypatch.setattr(montecarlo, "_CLICK_BLOCK", block)
+        config = replace(CFG, background_rate=10.0, retrieval_window=(1.2, 1.3))
+        counts = emitter_photon_counts(3, 0.35, 40_003, 9)
+        draws = montecarlo._ClickDraws(config, counts, 9)
+
+        rng = philox_stream(9, montecarlo._STAGE_CLICKS)
+        sigma = montecarlo.RETRIEVAL_PULSE_FWHM / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        signal = rng.normal(1.25, sigma, size=counts.sum())
+        outside = (signal < 1.2) | (signal >= 1.3)
+        while np.any(outside):
+            signal[outside] = rng.normal(1.25, sigma, size=np.count_nonzero(outside))
+            outside = (signal < 1.2) | (signal >= 1.3)
+        background_counts = rng.poisson(config.background_rate * config.window_duration,
+                                        size=counts.size)
+        background = rng.uniform(1.2, 1.3, size=background_counts.sum())
+        codes = rng.integers(0, 2, size=signal.size + background.size, dtype=np.uint32)
+
+        assert np.array_equal(np.concatenate(draws.signal), signal)
+        hits = np.zeros(counts.size, dtype=background_counts.dtype)
+        for hit, n_hit in draws.hits:
+            hits[hit] = n_hit
+        assert np.array_equal(hits, background_counts)
+        assert np.mean([n_hit.size > 0 for _, n_hit in draws.hits]) > 0.99
+        assert np.array_equal(draws.background, background)
+        assert draws.codes.dtype == np.uint8
+        assert np.array_equal(draws.codes, codes + ord("A"))
+        assert draws.codes.size > 2 * block or block == montecarlo._CLICK_BLOCK
+
     @pytest.mark.parametrize("boundary", [1, 2])
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_order_is_checked_across_block_boundaries(self, monkeypatch, block, boundary):
@@ -927,14 +972,14 @@ class TestClickPipelineMemory:
     @pytest.mark.parametrize("drifted", [False, True], ids=["steady", "drifted"])
     def test_streamed_run_holds_no_click_record(self, drifted):
         # the narrowed counts (1 B per trial), the signal offsets (8 B per
-        # signal event) and the detector codes (4 B per event) are the only
-        # arrays as long as the run
+        # signal event) and the detector codes (1 B per event) are the only
+        # arrays as long as the run: about 11 B per event in all
         drift = DriftSpec(amplitude=0.4) if drifted else None
         result, peak = traced_peak(partial(simulate_hbt_run, CFG, MEMORY_TRIALS, 4, drift=drift))
         events = generate_click_stream(
             CFG, emitter_photon_counts(3, 0.35, MEMORY_TRIALS, 4), 4).times.size
         assert result.g2.size == 121
-        assert peak <= 20 * events + 2 ** 20
+        assert peak <= 12 * events + 2 ** 16
 
 
 class TestBackgroundCorrection:
@@ -1387,7 +1432,7 @@ class TestWorkerCount:
 
     def test_huge_thread_counts_start_at_most_one_worker_per_core(self, monkeypatch):
         # No process is started: the pool is replaced by an in-process fake.
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         FakePool.requests.clear()
         omegas = np.linspace(1.0, 10.0, 7)
