@@ -32,7 +32,8 @@ from .config import (
 )
 from .fitting import FitError, fit, lorentzian_spec, rabi_collective_spec
 from .interactions import pair_eigenscan
-from .montecarlo import DriftSpec, run_shots, simulate_hbt_run, simulate_rabi_scan
+from .montecarlo import (EMITTER_DETECTION_PROB, DriftSpec, run_shots, simulate_hbt_run,
+                         simulate_rabi_scan)
 from .structure import (
     QuantumDefectModel,
     REFERENCE_ANGULAR_FACTOR,
@@ -130,8 +131,7 @@ def _pulse_us(args, config, positive=False):
 # --------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_radius(args):
-    config = _resolve_config(args)
+def _cmd_radius(args, config):
     eit_width = args.eit_width if args.eit_width is not None else config.eit_width
     payload = {"r_o_um": optical_blockade_radius(args.c6, eit_width)}
     if args.omega_mu is not None:
@@ -139,8 +139,7 @@ def _cmd_radius(args):
     return _emit(args, config, {"radius.json": _json_text(payload)})
 
 
-def _cmd_structure(args):
-    config = _resolve_config(args)
+def _cmd_structure(args, config):
     upper = _parse_state(args.upper)
     lower = _parse_state(args.lower)
     model = QuantumDefectModel()
@@ -157,8 +156,7 @@ def _cmd_structure(args):
     return _emit(args, config, {"structure.json": _json_text(payload)})
 
 
-def _cmd_rabi_curve(args):
-    config = _resolve_config(args)
+def _cmd_rabi_curve(args, config):
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     # checked before linspace, which warns on an infinite end point
@@ -171,8 +169,7 @@ def _cmd_rabi_curve(args):
     return _emit(args, config, {"rabi_curve.csv": text})
 
 
-def _cmd_eigenscan(args):
-    config = _resolve_config(args)
+def _cmd_eigenscan(args, config):
     scan = pair_eigenscan(args.omega_mu, args.c3, args.r_min, args.r_max,
                           args.steps)
     header = "r_um," + ",".join(f"eig_{b}_mhz" for b in range(scan.branches.shape[1]))
@@ -180,8 +177,7 @@ def _cmd_eigenscan(args):
     return _emit(args, config, {"eigenscan.csv": _csv_text(header, rows)})
 
 
-def _cmd_rabi_scan(args):
-    config = _resolve_config(args)
+def _cmd_rabi_scan(args, config):
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     # checked before linspace, which warns on an infinite end point
@@ -198,8 +194,7 @@ def _cmd_rabi_scan(args):
     return _emit(args, config, {"rabi_scan.csv": text}, seed=args.seed)
 
 
-def _cmd_g2(args):
-    config = _resolve_config(args)
+def _cmd_g2(args, config):
     drift = None
     if args.drift_std != 0.0:
         drift = DriftSpec.from_relative_std(args.drift_std, rng_seed=args.seed)
@@ -247,8 +242,7 @@ def _read_xy_sigma(path):
     return data[:, 0], data[:, 1], data[:, 2]
 
 
-def _cmd_fit(args):
-    config = _resolve_config(args)
+def _cmd_fit(args, config):
     if args.max_iterations < 0:
         raise ValueError(f"--max-iterations must be >= 0, got {args.max_iterations}")
     pulse = None if args.pulse_ns is None else _pulse_us(args, config, positive=True)
@@ -273,8 +267,7 @@ def _cmd_fit(args):
     return _emit(args, config, {"fit.json": _json_text(payload)})
 
 
-def _cmd_protocol(args):
-    config = _resolve_config(args)
+def _cmd_protocol(args, config):
     # the count SEM needs two shots
     if args.trials < 2:
         raise ValueError(f"--trials must be >= 2, got {args.trials}")
@@ -380,7 +373,8 @@ def build_parser():
     sub = subparsers.add_parser("g2", help="pulsed HBT correlation run")
     sub.add_argument("--trials", type=int, default=100_000)
     sub.add_argument("--n-emitters", type=int, default=3)
-    sub.add_argument("--detection-prob", type=float, default=0.35)
+    sub.add_argument("--detection-prob", type=float, default=EMITTER_DETECTION_PROB,
+                     help="per-emitter detection probability (default %(default)g)")
     sub.add_argument("--drift-std", type=float, default=0.0,
                      help="relative std of slow efficiency drift (>= 0)")
     sub.add_argument("--max-delay", type=int, default=60,
@@ -429,7 +423,7 @@ def main(argv=None):
         seed = getattr(args, "seed", 0)
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"--seed must be an integer in [0, 2**64), got {seed}")
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except (ValueError, ConfigError, FitError, RuntimeError, OSError) as exc:
         print(f"rydpol: error: {exc}", file=sys.stderr)
         return 1

@@ -97,7 +97,7 @@ def _blocked_max(parts):
                                          for part in parts])
 
 
-def _check_hermitian(matrix, what):
+def _check_hermitian(matrix):
     """Raise unless `matrix` (or each matrix of a stack) is finite and real symmetric.
 
     Every solve passes here, so each matrix is checked once, where it is
@@ -110,7 +110,7 @@ def _check_hermitian(matrix, what):
     absolute-value copy.
     """
     if np.iscomplexobj(matrix):
-        raise ValueError(f"{what} must be real symmetric, got {matrix.dtype} entries")
+        raise ValueError(f"eigenspectrum input must be real symmetric, got {matrix.dtype} entries")
     size = matrix.shape[-1]
     if size <= _HERMITIAN_CHECK_ROWS:
         blocks = [(matrix, matrix.swapaxes(-2, -1))]
@@ -120,10 +120,10 @@ def _check_hermitian(matrix, what):
                   for top in range(0, size, _HERMITIAN_CHECK_ROWS)]
     scale = _blocked_max(np.abs(rows) for rows, _ in blocks)
     if _any(~np.isfinite(scale)):
-        raise ValueError(f"{what} has non-finite entries")
+        raise ValueError("eigenspectrum input has non-finite entries")
     skew = _blocked_max(rows - mirror for rows, mirror in blocks)
     if _any(skew > _HERMITICITY_RTOL * scale):
-        raise ValueError(f"{what} is not Hermitian")
+        raise ValueError("eigenspectrum input is not Hermitian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +319,8 @@ def eigenspectrum(h, return_vectors=False):
     the full 4^n builder, by one dense solve.
     """
     matrix = _as_matrix(h)
-    w, v, split = _block_eigh(matrix)
+    blocks, split = _parity_blocks(matrix)
+    w, v = _solve_blocks(blocks)
     if not split:
         return (w[0], v[0]) if return_vectors else w[0]
     w = w.ravel()
@@ -338,7 +339,7 @@ def eigenspectrum(h, return_vectors=False):
 
 
 #: Fewest entries, over all matrices of a stack together, at which
-#: _block_eigh tests for the parity split.  Below it the bookkeeping costs
+#: _parity_blocks tests for the parity split.  Below it the bookkeeping costs
 #: more than the half-size solves save: one 32-row matrix breaks even, and
 #: a stack of 8-row matrices starts to gain at about 20 of them.  Splitting
 #: single matrices from 16 rows, with the eigenvector lift kept, was no
@@ -351,38 +352,21 @@ def _centrosymmetric(matrices):
     return matrices.shape[-1] % 2 == 0 and np.array_equal(matrices, matrices[..., ::-1, ::-1])
 
 
-def _block_eigh(matrices):
-    """Checked np.linalg.eigh of one real symmetric matrix or a stack (..., d, d).
+def _parity_blocks(matrices, split=None, overwrite=False):
+    """Check a real symmetric matrix or stack (..., d, d) and split it: (blocks, split).
 
-    Raises ValueError unless every matrix is finite and real symmetric, and
-    RuntimeError unless every eigenpair satisfies
-    ||H v - w v|| <= 1e-9 ||H|| (||H|| = largest |eigenvalue| of that matrix).
-
-    Returns (w, v, split), w and v with one leading axis more than eigh's.
+    Raises ValueError unless every matrix is finite and real symmetric.
     A centrosymmetric H = [[A, B], [J B J, J A J]] (J the d/2 reversal) is
     block-diagonalized by the orthogonal Q = [[I, I], [J, -J]] / sqrt(2)
-    into A + B J and A - B J; then split is True, the leading axis holds
-    the eigenpairs of those two blocks, and an eigenvector u of A +- B J
-    lifts to the eigenvector [u; +-J u] / sqrt(2) of H.  The residual check
-    runs on the blocks, which bounds the same norm since Q is orthogonal.
-    Otherwise the leading axis has length 1 and holds those of H itself.
-    It is _parity_blocks followed by _solve_blocks.
-    """
-    blocks, split = _parity_blocks(matrices)
-    return (*_solve_blocks(blocks), split)
-
-
-def _parity_blocks(matrices, split=None, overwrite=False):
-    """The check-and-split step of _block_eigh: (blocks, split).
-
-    blocks is (A + B J, A - B J) if split, else `matrices` under a leading
-    axis of 1.  split=None splits a centrosymmetric input of at least
-    _SPLIT_MIN_ENTRIES entries; True or False imposes another input's
-    decision (True only on a centrosymmetric input).
+    into blocks = (A + B J, A - B J); an eigenvector u of A +- B J lifts to
+    the eigenvector [u; +-J u] / sqrt(2) of H.  Unsplit, blocks is `matrices`
+    under a leading axis of 1.  split=None splits a centrosymmetric input of
+    at least _SPLIT_MIN_ENTRIES entries; True or False imposes another
+    input's decision (True only on a centrosymmetric input).
     overwrite=True writes the blocks over the lower half rows of `matrices`,
     which P H P = H makes redundant, so the caller must own `matrices`.
     """
-    _check_hermitian(matrices, "eigenspectrum input")
+    _check_hermitian(matrices)
     if split is None:
         split = matrices.size >= _SPLIT_MIN_ENTRIES and _centrosymmetric(matrices)
     if not split:
@@ -402,7 +386,11 @@ def _parity_blocks(matrices, split=None, overwrite=False):
 
 
 def _solve_blocks(blocks):
-    """eigh of _parity_blocks' blocks and the residual check of _block_eigh: (w, v)."""
+    """eigh of _parity_blocks' blocks, each eigenpair checked: (w, v).
+
+    Raises RuntimeError unless ||H v - w v|| <= 1e-9 ||H||, ||H|| the largest
+    |eigenvalue| of that matrix; Q is orthogonal, so blocks bound the same norm.
+    """
     w, v = np.linalg.eigh(blocks)
     h_norm = np.abs(w).max(axis=(0, -1), initial=0.0)
     misfit = blocks @ v

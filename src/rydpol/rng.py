@@ -6,11 +6,10 @@ statistically independent, non-overlapping streams, and a trial's draws do
 not depend on how many other trials ran before it — so serial, chunked, and
 parallel executions of the same labels produce bit-identical results.
 
-A Philox stream is just its key, so the shot and scan paths do not build a
-fresh generator per stream: each call re-keys one bit generator of its own
-(``_rekeyed_stream``), which draws exactly what ``philox_stream`` of the same
-label draws.  A run checks its seed and largest index once (``_run_seed``)
-and re-keys each trial's streams without further checks (``_rekeyed``).
+A Philox stream is just its key, and ``_rekeyed`` keys every stream:
+``philox_stream`` a fresh bit generator, the shot and scan paths one of
+their own per call, so both draw alike for the same label.  A run checks its
+seed and largest index once (``_run_seed``), not each trial's labels.
 """
 
 from __future__ import annotations
@@ -34,11 +33,11 @@ def _check_label(name, value, bound=1 << 64):
 
 
 def _key(master_seed, stage, index):
-    """The two 64-bit Philox key words of a checked stream label."""
+    """The labels of a stream, checked, as Python ints."""
     _check_label("master_seed", master_seed)
     _check_label("stage", stage, MAX_STAGE)
     _check_label("index", index, MAX_INDEX)
-    return int(master_seed), (int(stage) << 48) | int(index)
+    return int(master_seed), int(stage), int(index)
 
 
 def philox_stream(master_seed, stage, index=0):
@@ -48,20 +47,8 @@ def philox_stream(master_seed, stage, index=0):
     step (cloud sampling, detection, clicks, ...) and index usually numbers
     the trial within that step.
     """
-    key = np.array(_key(master_seed, stage, index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _rekeyed_stream(bit_generator, master_seed, stage, index=0):
-    """philox_stream(master_seed, stage, index), drawn from `bit_generator`.
-
-    Resets the caller's np.random.Philox to counter 0 under the label's key
-    and wraps it in a new Generator, which draws what a fresh stream of that
-    label draws.  Re-keying again restarts the same bit generator, so the
-    previous Generator must no longer be drawn from.
-    """
-    _key(master_seed, stage, index)
-    return _rekeyed(bit_generator, int(master_seed), int(stage), int(index))
+    # a key, any key, spares the seedless constructor its OS entropy draw
+    return _rekeyed(np.random.Philox(key=0), *_key(master_seed, stage, index))
 
 
 def _run_seed(master_seed, count):
@@ -75,7 +62,11 @@ def _run_seed(master_seed, count):
 
 
 def _rekeyed(bit_generator, master_seed, stage, index):
-    """_rekeyed_stream of a label already checked, given as Python ints."""
+    """A Generator drawing the stream of a checked label, given as Python ints.
+
+    Resets the caller's np.random.Philox to counter 0 under the label's key.
+    Re-keying it again restarts it, so the previous Generator must not be used.
+    """
     bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (master_seed, (stage << 48) | index)},

@@ -32,9 +32,10 @@ from rydpol.interactions import (
     _HOP_PLUS_MINUS,
     _assemble,
     _centrosymmetric,
-    _block_eigh,
     _check_hermitian,
     _embed,
+    _parity_blocks,
+    _solve_blocks,
     _tables,
     build_hamiltonian,
     build_pi_sector_hamiltonian,
@@ -405,8 +406,9 @@ class TestEigenspectrum:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(5, 6, 6))
         stack = a + a.transpose(0, 2, 1)
-        w, v, split = _block_eigh(stack)
+        blocks, split = _parity_blocks(stack)
         assert not split
+        w, v = _solve_blocks(blocks)
         w, v = w[0], v[0]
         for k in range(5):
             assert np.array_equal(w[k], eigenspectrum(stack[k]))
@@ -416,10 +418,10 @@ class TestEigenspectrum:
         stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
         stack[1, 0, 2] = 1.0
         with pytest.raises(ValueError, match="not Hermitian"):
-            _block_eigh(stack)
+            _parity_blocks(stack)
         stack[1, 0, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            _block_eigh(stack)
+            _parity_blocks(stack)
 
 
 class TestTimeEvolve:
@@ -739,9 +741,10 @@ class TestParitySplit:
         dense = np.linalg.eigvalsh(stack)
         scale = np.abs(dense).max(axis=-1, keepdims=True)
         with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
-            blocks, _, split = _block_eigh(stack)
+            blocks, split = _parity_blocks(stack)
             assert split
-            merged = np.sort(np.concatenate([blocks[0], blocks[1]], axis=-1), axis=-1)
+            w_blocks, _ = _solve_blocks(blocks)
+            merged = np.sort(np.concatenate([w_blocks[0], w_blocks[1]], axis=-1), axis=-1)
             assert np.all(np.abs(merged - dense) <= 1e-12 * scale)
             for k, h in enumerate(stack):
                 w, v = eigenspectrum(h, return_vectors=True)
@@ -755,7 +758,7 @@ class TestParitySplit:
         assert _centrosymmetric(stack)
         with patch.object(interactions, "_SPLIT_MIN_ENTRIES", 0):
             with pytest.raises(ValueError, match="must be real symmetric"):
-                _block_eigh(stack)
+                _parity_blocks(stack)
             with pytest.raises(ValueError, match="must be real symmetric"):
                 eigenspectrum(stack[0])
 
@@ -845,7 +848,7 @@ class TestCheckedSolveRejects:
             good = planted(None, seed=4).astype(bad.dtype)
             bad = np.stack([good, bad, good])
         with pytest.raises(ValueError, match=message):
-            _block_eigh(bad)
+            _parity_blocks(bad)
         if shape == "single":
             with pytest.raises(ValueError, match=message):
                 eigenspectrum(bad)
@@ -858,8 +861,9 @@ class TestCheckedSolveRejects:
         near = planted(None)
         near[1, 2] += 0.5e-12 * np.abs(near).max()
         stack = near if shape == "single" else np.stack([near, near])
-        w, v, split = _block_eigh(stack)
+        blocks, split = _parity_blocks(stack)
         assert not split
+        w, v = _solve_blocks(blocks)
         w, v = w[0], v[0]
         assert np.abs(stack @ v - v * w[..., None, :]).max() <= 1e-12 * np.abs(w).max()
 
@@ -900,17 +904,17 @@ class TestHermitianCheckBlocks:
             h = np.stack([h.T + h, h, h + h.T])
         expected = unblocked_hermitian_check(h)
         if expected is None:
-            _check_hermitian(h, "matrix")
+            _check_hermitian(h)
         else:
             with pytest.raises(ValueError, match=expected):
-                _check_hermitian(h, "matrix")
+                _check_hermitian(h)
 
     def test_temporaries_stay_below_one_matrix(self):
         # one block of 64 rows of a 1024 x 1024 matrix (8 MiB) is 0.5 MiB
         h = build_pi_sector_hamiltonian(spaced_register(10, 1), 2.0, C3)
         tracemalloc.start()
         try:
-            _check_hermitian(h, "matrix")
+            _check_hermitian(h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1267,7 +1267,8 @@ def per_drive_kernel(registers, omegas, c3, pulse_duration):
     """_scan_return_probabilities with its stack built and split again at every drive.
 
     Each size group's exchange V is one builder call per register and an
-    np.stack, and each drive solves _block_eigh(omega * D + V).
+    np.stack, and each drive splits omega * D + V by _parity_blocks and solves
+    the blocks by _solve_blocks.
     """
     omegas = np.asarray(omegas, dtype=float)
     probabilities = np.ones((omegas.size, len(registers)))
@@ -1282,7 +1283,8 @@ def per_drive_kernel(registers, omegas, c3, pulse_duration):
         for i, omega in enumerate(omegas):
             if omega == 0.0:
                 continue
-            w, v, split = interactions._block_eigh(omega * drive + exchange)
+            blocks, split = interactions._parity_blocks(omega * drive + exchange)
+            w, v = interactions._solve_blocks(blocks)
             weights = v[..., 0, :] ** 2
             if split:
                 weights *= 0.5
@@ -1350,7 +1352,7 @@ class TestScanKernel:
         stack = np.stack([good, good, good])
         stack[1, 2, 5] = np.nan if defect == "nan" else good[2, 5] + 1e-9 * np.abs(good).max()
         with pytest.raises(ValueError, match=message):
-            interactions._block_eigh(stack)
+            interactions.eigenspectrum(stack[1])
         with pytest.raises(ValueError, match=message):
             interactions._parity_blocks(stack, split)
         with pytest.raises(ValueError, match=message):

@@ -1,8 +1,9 @@
 """Counter-based stream derivation: determinism, independence, label bounds.
 
-A re-keyed bit generator (``_rekeyed_stream``) must draw exactly what a
-fresh ``philox_stream`` of the same label draws, and check labels the same
-way.
+Every stream is keyed by ``_rekeyed``, which makes the draws of a bit
+generator re-keyed by a run (``_run_seed``, then ``_rekeyed``) equal to those
+of a fresh ``philox_stream`` of the same label; the run refuses the labels
+``philox_stream`` refuses.
 """
 
 import numpy as np
@@ -10,12 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydpol.rng import MAX_INDEX, MAX_STAGE, _rekeyed_stream, philox_stream, spawn_trial_seeds
+from rydpol.rng import (
+    MAX_INDEX, MAX_STAGE, _check_label, _rekeyed, _run_seed, philox_stream, spawn_trial_seeds)
 
 
-def rekeyed(master_seed, stage, index=0):
-    """_rekeyed_stream on a bit generator of its own."""
-    return _rekeyed_stream(np.random.Philox(), master_seed, stage, index)
+def rekeyed(master_seed, stage, index=0, bit_generator=None):
+    """_rekeyed after the checks of a run whose largest index is `index`.
+
+    _run_seed checks the seed and the index.  A run's stages are program
+    constants, so the stage is checked here, by the rule philox_stream keeps.
+    """
+    _check_label("stage", stage, MAX_STAGE)
+    seed = _run_seed(master_seed, index + 1)
+    return _rekeyed(bit_generator or np.random.Philox(), seed, int(stage), int(index))
 
 
 class LabelChecks:
@@ -113,12 +121,12 @@ class TestRekeyedStream(LabelChecks):
         # re-keying restarts the stream, whatever the last label drew
         bit_generator = np.random.Philox()
         for label in [(9, 1, 4), (9, 2, 4), (9, 1, 4), (0, 0, 0), ((1 << 64) - 1, 7, 12)]:
-            self.assert_same_draws(_rekeyed_stream(bit_generator, *label), *label)
+            self.assert_same_draws(rekeyed(*label, bit_generator), *label)
 
     def test_interleaved_bit_generators_are_independent(self):
         first, second = np.random.Philox(), np.random.Philox()
-        a = _rekeyed_stream(first, 3, 1, 10)
-        b = _rekeyed_stream(second, 3, 1, 11)
+        a = rekeyed(3, 1, 10, first)
+        b = rekeyed(3, 1, 11, second)
         drawn_a, drawn_b = [], []
         for _ in range(4):
             drawn_a.append(a.normal(size=3))
@@ -128,9 +136,9 @@ class TestRekeyedStream(LabelChecks):
 
     def test_rejected_label_leaves_the_bit_generator_usable(self):
         bit_generator = np.random.Philox()
-        with pytest.raises(ValueError):
-            _rekeyed_stream(bit_generator, 1, MAX_STAGE, 0)
-        self.assert_same_draws(_rekeyed_stream(bit_generator, 1, 2, 3), 1, 2, 3)
+        with pytest.raises(ValueError, match="index"):
+            rekeyed(1, 2, MAX_INDEX, bit_generator)  # refused by _run_seed
+        self.assert_same_draws(rekeyed(1, 2, 3, bit_generator), 1, 2, 3)
 
 
 class TestSpawnTrialSeeds:
