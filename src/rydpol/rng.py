@@ -47,7 +47,7 @@ def philox_stream(master_seed, stage, index=0):
     step (cloud sampling, detection, clicks, ...) and index usually numbers
     the trial within that step.
     """
-    # a key, any key, spares the seedless constructor its OS entropy draw
+    # a placeholder key spares the seedless constructor its OS entropy draw
     return _rekeyed(np.random.Philox(key=0), *_key(master_seed, stage, index))
 
 
