@@ -69,7 +69,7 @@ def _rekeyed(bit_generator, master_seed, stage, index):
     """
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, (stage << 48) | index)},
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, (stage * MAX_INDEX) | index)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(bit_generator)
 
