@@ -32,8 +32,8 @@ from .config import (
 )
 from .fitting import FitError, fit, lorentzian_spec, rabi_collective_spec
 from .interactions import pair_eigenscan
-from .montecarlo import (EMITTER_DETECTION_PROB, DriftSpec, run_shots, simulate_hbt_run,
-                         simulate_rabi_scan)
+from .montecarlo import (EMITTER_DETECTION_PROB, DriftSpec, _NORM_RANGE, run_shots,
+                         simulate_hbt_run, simulate_rabi_scan)
 from .structure import (
     QuantumDefectModel,
     REFERENCE_ANGULAR_FACTOR,
@@ -195,6 +195,16 @@ def _cmd_rabi_scan(args, config):
 
 
 def _cmd_g2(args, config):
+    # checked here, before any work, so that a refusal names the flag
+    for flag, value in (("--trials", args.trials), ("--n-emitters", args.n_emitters)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    # NaN fails every comparison
+    if not 0.0 <= args.detection_prob <= 1.0:
+        raise ValueError(f"--detection-prob must lie in [0, 1], got {args.detection_prob}")
+    if not _NORM_RANGE[1] <= args.max_delay < args.trials:
+        raise ValueError(f"--max-delay must be >= {_NORM_RANGE[1]} and below --trials "
+                         f"({args.trials}), got {args.max_delay}")
     drift = None
     if args.drift_std != 0.0:
         drift = DriftSpec.from_relative_std(args.drift_std, rng_seed=args.seed)
@@ -406,11 +416,6 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv:
-        parser.print_help(sys.stderr)
-        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,6 +8,9 @@ exponential decay that takes over at low drive frequencies.
 
 Each model comes with its closed-form Jacobian columns, so a fit calls
 the model once per trial step and the Jacobian once per accepted step.
+Each accepted step is linearised once: ``-J^T r``, ``J^T J`` and its
+pseudo-inverse over the free parameters serve the damped steps from that
+point, the convergence test there and, at the optimum, the covariance.
 The minimizer is a self-contained Levenberg-Marquardt loop with Marquardt
 diagonal scaling and strictly monotone accepted steps.  A parameter at a
 bound that descent would push past it is held there: steps and the
@@ -269,10 +272,6 @@ class FitResult:
                 for name, value in zip(self.parameter_names, self.uncertainties)}
 
 
-def _clip_to_bounds(params, spec):
-    return np.minimum(np.maximum(params, spec.lower), spec.upper)
-
-
 def _free_parameters(jac, residual, params, spec):
     """Mask of the parameters a descent step can move.
 
@@ -293,19 +292,6 @@ def _free_columns(jac, free):
     return jac if free.all() else jac[:, free]
 
 
-def _metric_gradient_norm(jac, residual):
-    """Cost-gradient norm in the inverse Gauss-Newton curvature metric.
-
-    ``sqrt(g^T (J^T J)^+ g)`` with ``g = 2 J^T r`` — affine-invariant, so
-    the convergence test does not depend on how the parameters or sigmas
-    are scaled, and it vanishes on the machine-precision cost plateau where
-    the raw gradient components cannot cancel any further.
-    """
-    gradient = 2.0 * (jac.T @ residual)
-    curvature = np.linalg.pinv(jac.T @ jac, hermitian=True)
-    return float(math.sqrt(max(gradient @ (curvature @ gradient), 0.0)))
-
-
 def fit(spec, x, y, sigma, max_iterations=200):
     """Minimize sum(((y - f(x)) / sigma)^2) with Levenberg-Marquardt.
 
@@ -315,7 +301,9 @@ def fit(spec, x, y, sigma, max_iterations=200):
     held there) and are accepted only if the cost strictly decreases;
     rejected steps raise the damping.  A singular normal matrix triggers
     damped retries and, if damping alone cannot produce a usable step, a
-    FitError.  Returns a FitResult whose
+    FitError.  ``J^T J`` and its pseudo-inverse are formed once per
+    accepted step and serve every damped retry from it, the convergence
+    test and, at the optimum, the covariance.  Returns a FitResult whose
     status is "converged" when the curvature-metric norm of the cost
     gradient over the free parameters falls below ``1e-8 * (1 + cost)``
     and "max_iterations" (best parameters so far) otherwise; max_iterations
@@ -341,66 +329,61 @@ def fit(spec, x, y, sigma, max_iterations=200):
     def residuals(p):
         return (y - np.asarray(spec.function(x, p), dtype=float)) / sigma
 
+    def linearised(p, r):
+        """Free mask, -J^T r, J^T J and (J^T J)^+ over the free columns at p,
+        and the cost-gradient norm in that inverse-curvature metric."""
+        jac = -spec.jacobian(x, p) / sigma[:, None]
+        free = _free_parameters(jac, r, p, spec)
+        active = _free_columns(jac, free)
+        descent = -(active.T @ r)
+        normal = active.T @ active
+        curvature = np.linalg.pinv(normal, hermitian=True)
+        # sqrt(g^T (J^T J)^+ g) with g = 2 J^T r = -2 * descent
+        norm = 2.0 * math.sqrt(max(descent @ (curvature @ descent), 0.0))
+        return free, descent, normal, curvature, norm
+
     current = residuals(params)
     if not np.all(np.isfinite(current)):
         raise FitError("model is not finite at the initial parameters")
     cost = float(current @ current)
     lam = 1e-3
-    status = "max_iterations"
     iterations = 0
-    jac = -spec.jacobian(x, params) / sigma[:, None]
-    free = _free_parameters(jac, current, params, spec)
-    gradient_norm = _metric_gradient_norm(_free_columns(jac, free), current)
-
-    for iterations in range(1, max_iterations + 1):
-        if gradient_norm < GRADIENT_TOLERANCE * (1.0 + cost):
-            status = "converged"
-            iterations -= 1
-            break
-        active = _free_columns(jac, free)
-        normal = active.T @ active
+    free, descent, normal, curvature, gradient_norm = linearised(params, current)
+    # NaN fails the convergence test, as it fails every comparison
+    while iterations < max_iterations and not gradient_norm < GRADIENT_TOLERANCE * (1.0 + cost):
+        iterations += 1
         diag = np.diag(normal).copy()
         diag[diag <= 0] = 1.0
-        delta = None
         for _ in range(16):
             try:
-                step = np.linalg.solve(normal + lam * np.diag(diag),
-                                       -(active.T @ current))
+                step = np.linalg.solve(normal + lam * np.diag(diag), descent)
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if np.all(np.isfinite(step)):
-                delta = np.zeros_like(params)
-                delta[free] = step
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
                 break
             lam *= 10.0
-        if delta is None:
+        else:
             raise FitError("singular normal matrix: damped retries exhausted")
+        delta = np.zeros_like(params)
+        delta[free] = step
 
-        trial = _clip_to_bounds(params + delta, spec)
+        trial = np.minimum(np.maximum(params + delta, spec.lower), spec.upper)
         trial_res = residuals(trial)
         trial_cost = float(trial_res @ trial_res) if np.all(np.isfinite(trial_res)) \
             else np.inf
         if trial_cost < cost:
             params, current, cost = trial, trial_res, trial_cost
             lam = max(lam / 3.0, 1e-12)
-            jac = -spec.jacobian(x, params) / sigma[:, None]
-            free = _free_parameters(jac, current, params, spec)
-            gradient_norm = _metric_gradient_norm(_free_columns(jac, free), current)
+            free, descent, normal, curvature, gradient_norm = linearised(params, current)
         else:
             lam *= 10.0
             if lam > 1e15:
                 break
-    else:
-        iterations = max_iterations
-
-    if gradient_norm < GRADIENT_TOLERANCE * (1.0 + cost):
-        status = "converged"
+    status = "converged" if gradient_norm < GRADIENT_TOLERANCE * (1.0 + cost) \
+        else "max_iterations"
 
     # the covariance of the free parameters; a held one has none (NaN)
-    active = _free_columns(jac, free)
-    covariance = np.linalg.pinv(active.T @ active, hermitian=True)
-    covariance = 0.5 * (covariance + covariance.T)
+    covariance = 0.5 * (curvature + curvature.T)
     if not free.all():
         held = np.full((free.size, free.size), np.nan)
         held[np.ix_(free, free)] = covariance

@@ -80,8 +80,6 @@ class QuantumDefectModel:
 
     def defect(self, n, l, j):
         d0, d2 = self.defects.get((l, _two_j(j, l)), (0.0, 0.0))
-        if d0 == 0.0 and d2 == 0.0:
-            return 0.0
         return d0 + d2 / (n - d0) ** 2
 
     def effective_n(self, n, l, j):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import rydpol.cli as cli
+import rydpol.montecarlo as montecarlo
 from rydpol.cli import _csv_text, _json_text, main
 from rydpol.config import ExperimentConfig
 from rydpol.fitting import lorentzian
@@ -87,6 +88,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("rydpol: error: drift relative std must be below 1/sqrt(2)")
         assert "0.8" in err and "amplitude" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", 0), ("--trials", -5), ("--n-emitters", 0), ("--n-emitters", -1),
+        ("--detection-prob", 1.5), ("--detection-prob", -0.1), ("--detection-prob", "nan"),
+        ("--max-delay", 0), ("--max-delay", montecarlo._NORM_RANGE[1] - 1),
+        ("--max-delay", 1000)])
+    def test_g2_refusal_names_the_flag(self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"ran before checking {flag}")
+
+        monkeypatch.setattr(cli, "simulate_hbt_run", no_work)
+        argv = {"--trials": 1000, flag: value}
+        code = run_cli("g2", *[a for pair in argv.items() for a in pair],
+                       "--output-dir", tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"rydpol: error: {flag} must") and f"got {value}" in err
         assert not any(tmp_path.iterdir())
 
     def test_missing_input_file_is_computation_error(self, tmp_path, capsys):

@@ -469,6 +469,46 @@ class TestFitEngine:
         assert result.iterations == unprojected.iterations
         assert result.status == unprojected.status == "converged"
 
+    @pytest.mark.parametrize("case", ["rejected_steps", "held_at_a_bound", "no_iterations"])
+    def test_one_pseudo_inverse_per_jacobian(self, case):
+        # J^T J and its pseudo-inverse are formed once per linearisation and
+        # serve the steps, the convergence test and the covariance
+        if case == "held_at_a_bound":
+            x = np.linspace(-3, 3, 15)
+            y = lorentzian(x, 1.0, 0.2, 600.0, 0.05)
+            sigma = np.full(x.size, 0.01)
+            spec = lorentzian_spec(x, y)
+        else:
+            x = SCAN_OMEGAS
+            y, sigma = synthetic_scan(9000)
+            spec = rabi_collective_spec(T_PULSE, x, y)
+            # started at n = 6 against a true 3, the fit rejects some steps
+            spec = replace(spec, initial=np.r_[spec.initial[0], 6.0, spec.initial[2:]])
+        calls = {"function": 0, "jacobian": 0, "pinv": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        spec = replace(spec, function=counted("function", spec.function),
+                       jacobian=counted("jacobian", spec.jacobian))
+        with patch.object(fitting.np.linalg, "pinv", counted("pinv", np.linalg.pinv)):
+            result = fit(spec, x, y, sigma,
+                         max_iterations=0 if case == "no_iterations" else 400)
+        # one model call at the start, one per trial step and one for the rss;
+        # one Jacobian at the start and one per accepted step
+        trials = calls["function"] - 2
+        accepted = calls["jacobian"] - 1
+        if case == "rejected_steps":
+            assert trials > accepted > 0
+        elif case == "held_at_a_bound":
+            assert np.isnan(result.uncertainties).any()
+        else:
+            assert trials == accepted == 0
+        assert calls["pinv"] == calls["jacobian"]
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_status_contract(self, seed):
